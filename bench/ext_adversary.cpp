@@ -47,7 +47,6 @@ struct AdvOptions {
     std::string exportDir = "/tmp/onelab_adversary";
     std::string csvPath;
     std::string jsonPath;
-    std::size_t shards = 0;
     bool checkDeterminism = true;
     std::size_t jobs = 1;
 };
@@ -71,9 +70,7 @@ struct CellResult {
     std::size_t flowCount = 0;        ///< firewall table occupancy peak
     double attackWindowS = 0.0;       ///< arm -> cancel, sim seconds
 
-    // Detection counters (merged registries are per-shard; these are
-    // only sampled in serial runs, -1 marks "not sampled").
-    long long detections = -1;
+    long long detections = 0;  ///< guard counters the personality tripped
 
     double simSeconds = 0.0;
     double wallSeconds = 0.0;
@@ -195,7 +192,6 @@ CellResult runCell(const AdvOptions& options, adversary::PersonalityKind kind,
     if (options.profile == "nightly") obs::Tracer::instance().setEnabled(false);
 
     scenario::FleetConfig config = scenario::makeUniformFleet(options.ues, options.seed);
-    config.shards = options.shards;
     // The churner needs the NAT leg of the GGSN up to attack it.
     if (kind == Kind::nat_churner) config.operatorProfile.natSubscribers = true;
     if (!guardsOn) {
@@ -326,9 +322,7 @@ CellResult runCell(const AdvOptions& options, adversary::PersonalityKind kind,
     const adversary::AttackerStats totals = driver.totals();
     cell.actions = totals.actions;
     cell.denied = totals.denied;
-    // Per-shard registries make main-thread counter reads meaningless
-    // in sharded runs; sample them serial-only.
-    if (options.shards == 0) cell.detections = (long long)(detectionCount(kind));
+    cell.detections = (long long)(detectionCount(kind));
 
     // --- invariants every cell must hold ---
     for (std::size_t i = 0; i < fleet.umtsSiteCount(); ++i)
@@ -365,7 +359,7 @@ CellResult runCell(const AdvOptions& options, adversary::PersonalityKind kind,
                 break;
             }
             case Kind::at_abuser:
-                if (options.shards == 0 && cell.detections <= 0)
+                if (cell.detections <= 0)
                     return fail("AT abuse ran but no guard.at.* detection fired");
                 if (cell.victimKbps < 0.35 * cell.baselineKbps)
                     return fail("victim goodput collapsed under AT abuse with guards on: " +
@@ -379,7 +373,7 @@ CellResult runCell(const AdvOptions& options, adversary::PersonalityKind kind,
                 if (cell.attachBacklog > barringLimit + 2)
                     return fail("attach backlog " + std::to_string(cell.attachBacklog) +
                                 " exceeds barring limit " + std::to_string(barringLimit));
-                if (options.shards == 0 && cell.detections <= 0)
+                if (cell.detections <= 0)
                     return fail("storm ran but the signaling guard never fired");
                 if (cell.stormRedialS > 90.0)
                     return fail("storm redial took " + std::to_string(cell.stormRedialS) +
@@ -387,7 +381,7 @@ CellResult runCell(const AdvOptions& options, adversary::PersonalityKind kind,
                                 std::to_string(cell.baselineRedialS) + " s)");
                 break;
             case Kind::greedy_ue:
-                if (options.shards == 0 && cell.detections <= 0)
+                if (cell.detections <= 0)
                     return fail("greedy UE ran but the fairness clamp never fired");
                 if (cell.victimKbps < 0.5 * cell.baselineKbps)
                     return fail("victim goodput under greedy UE fell below floor: " +
@@ -397,7 +391,7 @@ CellResult runCell(const AdvOptions& options, adversary::PersonalityKind kind,
             case Kind::nat_churner:
                 if (!cell.victimStateSurvived)
                     return fail("victim return-path state evicted despite quota");
-                if (options.shards == 0 && cell.detections <= 0)
+                if (cell.detections <= 0)
                     return fail("churn ran but no NAT/firewall guard fired");
                 if (cell.victimKbps < 0.5 * cell.baselineKbps)
                     return fail("victim TCP goodput under churn fell below floor");
@@ -419,10 +413,8 @@ CellResult runCell(const AdvOptions& options, adversary::PersonalityKind kind,
                 // The mitigation knobs are off, so nothing may have
                 // blocked the hostile lines (the always-on escape-spam
                 // *detector* still counts — detection without teeth).
-                const std::uint64_t mitigated =
-                    options.shards == 0 ? counterValue("guard.at.dial_rejected") +
-                                              counterValue("guard.at.line_overflow")
-                                        : 0;
+                const std::uint64_t mitigated = counterValue("guard.at.dial_rejected") +
+                                                counterValue("guard.at.line_overflow");
                 if (mitigated != 0)
                     return fail("guards off but AT mitigations fired");
                 break;
@@ -463,7 +455,7 @@ void usage(const char* argv0) {
         "          [--attackers a,b,c] (attacker-count sweep values)\n"
         "          [--wave-seconds S]  (per measurement wave)\n"
         "          [--export dir] [--csv path] [--json path]\n"
-        "          [--jobs N] [--shards N] [--no-determinism]\n",
+        "          [--jobs N] [--no-determinism]\n",
         argv0);
 }
 
@@ -501,9 +493,9 @@ bool writeResultsJson(const std::string& path, const AdvOptions& options,
     std::FILE* file = std::fopen(path.c_str(), "w");
     if (!file) return false;
     std::fprintf(file, "{\"bench\":\"ext_adversary\",\"profile\":\"%s\",\"ues\":%zu,"
-                       "\"seed\":%llu,\"shards\":%zu,\"cells\":[",
+                       "\"seed\":%llu,\"cells\":[",
                  options.profile.c_str(), options.ues,
-                 static_cast<unsigned long long>(options.seed), options.shards);
+                 static_cast<unsigned long long>(options.seed));
     for (std::size_t i = 0; i < cells.size(); ++i) {
         const CellResult& cell = cells[i];
         std::fprintf(
@@ -580,10 +572,6 @@ int main(int argc, char** argv) {
             const char* value = next();
             if (!value) { usage(argv[0]); return 2; }
             options.jobs = bench::SweepRunner::parseJobsValue(value);
-        } else if (arg == "--shards") {
-            const char* value = next();
-            if (!value) { usage(argv[0]); return 2; }
-            options.shards = std::size_t(std::atoi(value));
         } else if (arg == "--no-determinism") {
             options.checkDeterminism = false;
         } else {
@@ -604,10 +592,9 @@ int main(int argc, char** argv) {
                 plan.push_back({adversary::PersonalityKind(kind), guardsOn, count});
 
     std::printf("=== Adversary bench: %zu-UE fleet, %s profile, %zu cells, "
-                "%zu job%s, %zu shard%s ===\n\n",
+                "%zu job%s ===\n\n",
                 options.ues, options.profile.c_str(), plan.size(), options.jobs,
-                options.jobs == 1 ? "" : "s", options.shards,
-                options.shards == 1 ? "" : "s");
+                options.jobs == 1 ? "" : "s");
 
     bench::SweepRunner runner{options.jobs};
     const std::vector<CellResult> cells =

@@ -54,9 +54,6 @@ struct SoakOptions {
     /// the backend's auto-redial) and the wedge invariant becomes
     /// "every supervisor reaches HEALTHY or FAILED_OVER".
     bool supervise = false;
-    /// 0 = the legacy serial engine; N >= 1 = the sharded engine with
-    /// N shards (site stacks spread over shards 1..N-1, core on 0).
-    std::size_t shards = 0;
 };
 
 struct SoakOutcome {
@@ -114,7 +111,6 @@ SoakOutcome runSoak(const SoakOptions& options, std::uint64_t seed,
     harnessScope.emplace(obs::ProfileCategory::scenario_harness);
 
     scenario::FleetConfig config = scenario::makeUniformFleet(options.ues, seed);
-    config.shards = options.shards;
     for (auto& site : config.umtsSites) {
         if (options.supervise) {
             site.supervise.enable = true;
@@ -254,18 +250,13 @@ void usage(const char* argv0) {
         "          [--jobs N]   (0 = all hardware threads; per-seed\n"
         "                        outcomes and telemetry are identical\n"
         "                        to a serial run)\n"
-        "          [--shards N] (sharded engine with N shards; output\n"
-        "                        is byte-identical across every N >= 1\n"
-        "                        but a different timeline from the\n"
-        "                        default serial engine)\n"
         "          [--json path] (machine-readable results incl.\n"
         "                         sim-seconds-per-wall-second per seed)\n",
         argv0);
 }
 
 /// BENCH_chaos.json: per-seed outcomes plus the soak throughput figure
-/// (simulated seconds per wall second) the sharding roadmap item wants
-/// tracked over time.
+/// (simulated seconds per wall second), tracked over time.
 bool writeResultsJson(const std::string& path, const SoakOptions& options,
                       const std::vector<SoakOutcome>& outcomes) {
     std::FILE* file = std::fopen(path.c_str(), "w");
@@ -274,9 +265,9 @@ bool writeResultsJson(const std::string& path, const SoakOptions& options,
     double wallTotal = 0.0;
     std::fprintf(file,
                  "{\"bench\":\"ext_chaos_soak\",\"profile\":\"%s\",\"ues\":%zu,"
-                 "\"supervised\":%s,\"jobs\":%zu,\"shards\":%zu,\"seeds\":[",
+                 "\"supervised\":%s,\"jobs\":%zu,\"seeds\":[",
                  options.profile.c_str(), options.ues,
-                 options.supervise ? "true" : "false", options.jobs, options.shards);
+                 options.supervise ? "true" : "false", options.jobs);
     for (std::size_t i = 0; i < outcomes.size(); ++i) {
         const SoakOutcome& outcome = outcomes[i];
         simTotal += outcome.simSeconds;
@@ -352,10 +343,6 @@ int main(int argc, char** argv) {
             const char* value = next();
             if (!value) { usage(argv[0]); return 2; }
             jsonPath = value;
-        } else if (arg == "--shards") {
-            const char* value = next();
-            if (!value) { usage(argv[0]); return 2; }
-            options.shards = std::size_t(std::atoi(value));
         } else if (arg == "--supervise") {
             options.supervise = true;
         } else {
@@ -366,11 +353,10 @@ int main(int argc, char** argv) {
     if (options.seeds.empty()) { usage(argv[0]); return 2; }
 
     std::printf("=== Chaos soak: %zu-UE fleet, %s profile%s, %.0f s per seed, "
-                "%zu job%s, %zu shard%s ===\n\n",
+                "%zu job%s ===\n\n",
                 options.ues, options.profile.c_str(),
                 options.supervise ? " (supervised)" : "", options.soakSeconds, options.jobs,
-                options.jobs == 1 ? "" : "s", options.shards,
-                options.shards == 1 ? "" : "s");
+                options.jobs == 1 ? "" : "s");
 
     // Seeds are independent soaks; run them as sweep points (each in
     // its own RunContext) and report in seed order once all are done.

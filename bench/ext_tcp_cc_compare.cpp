@@ -6,12 +6,9 @@
 // (the bearer pins it) but how much retransmission work each algorithm
 // does to hold the rate as loss climbs.
 //
-// Usage: ext_tcp_cc_compare [seed] [--csv path] [--json path]
-//                           [--shards N] [--duration S]
+// Usage: ext_tcp_cc_compare [seed] [--csv path] [--json path] [--duration S]
 //   --csv      the frozen per-point CSV (golden-digested in tests/bench)
 //   --json     BENCH_tcp.json for the CI bench-smoke artifact
-//   --shards   fleet engine selection (0 = legacy serial; N >= 1 =
-//              sharded, byte-identical for every N >= 1)
 //   --duration per-point flow duration in simulated seconds
 #include <cstdio>
 #include <cstring>
@@ -29,8 +26,7 @@ using namespace onelab::bench;
 namespace {
 
 bool writeResultsJson(const std::string& path, std::uint64_t seed,
-                      double durationSeconds, std::size_t shards,
-                      const std::vector<CcSweepPoint>& points) {
+                      double durationSeconds, const std::vector<CcSweepPoint>& points) {
     std::FILE* file = std::fopen(path.c_str(), "w");
     if (!file) return false;
     std::fprintf(file,
@@ -38,9 +34,8 @@ bool writeResultsJson(const std::string& path, std::uint64_t seed,
                  "  \"bench\": \"ext_tcp_cc_compare\",\n"
                  "  \"seed\": %llu,\n"
                  "  \"duration_seconds\": %.1f,\n"
-                 "  \"shards\": %zu,\n"
                  "  \"points\": [",
-                 static_cast<unsigned long long>(seed), durationSeconds, shards);
+                 static_cast<unsigned long long>(seed), durationSeconds);
     for (std::size_t i = 0; i < points.size(); ++i) {
         const CcSweepPoint& point = points[i];
         std::fprintf(
@@ -71,15 +66,12 @@ int main(int argc, char** argv) {
     std::uint64_t seed = 42;
     std::string csvPath;
     std::string jsonPath;
-    std::size_t shards = 0;
     double duration = 30.0;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--csv") == 0 && i + 1 < argc)
             csvPath = argv[++i];
         else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
             jsonPath = argv[++i];
-        else if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc)
-            shards = std::strtoull(argv[++i], nullptr, 10);
         else if (std::strcmp(argv[i], "--duration") == 0 && i + 1 < argc)
             duration = std::strtod(argv[++i], nullptr);
         else
@@ -88,10 +80,10 @@ int main(int argc, char** argv) {
 
     std::printf("=== Extension: TCP congestion control over UMTS ===\n");
     std::printf("D-ITG TCP probe flow, 1 UE, %.0f s per point, RLC loss sweep,\n"
-                "seed %llu, %zu shard%s\n\n",
-                duration, (unsigned long long)seed, shards, shards == 1 ? "" : "s");
+                "seed %llu\n\n",
+                duration, (unsigned long long)seed);
 
-    const std::vector<CcSweepPoint> sweep = runCcSweep(seed, duration, shards);
+    const std::vector<CcSweepPoint> sweep = runCcSweep(seed, duration);
 
     util::Table table({"cc", "loss [%]", "goodput [kbps]", "OWD [ms]", "rexmit",
                        "timeouts", "fast rexmit", "delivered"});
@@ -114,7 +106,7 @@ int main(int argc, char** argv) {
         std::printf("per-point series written to %s\n", csvPath.c_str());
     }
     if (!jsonPath.empty()) {
-        if (writeResultsJson(jsonPath, seed, duration, shards, sweep))
+        if (writeResultsJson(jsonPath, seed, duration, sweep))
             std::printf("results JSON: %s\n", jsonPath.c_str());
         else
             std::printf("WARNING: could not write %s\n", jsonPath.c_str());
@@ -168,7 +160,7 @@ int main(int argc, char** argv) {
 
     // Determinism: the whole grid replays bit-identically from the
     // same seed — the property the golden digest in tests/bench pins.
-    const std::vector<CcSweepPoint> replay = runCcSweep(seed, duration, shards);
+    const std::vector<CcSweepPoint> replay = runCcSweep(seed, duration);
     check(ccSweepCsv(replay) == ccSweepCsv(sweep),
           "full-grid replay with the same seed is byte-identical");
 

@@ -21,8 +21,7 @@ const std::vector<double>& ccSweepLossRates() {
     return kLossRates;
 }
 
-std::vector<CcSweepPoint> runCcSweep(std::uint64_t seed, double durationSeconds,
-                                     std::size_t shards) {
+std::vector<CcSweepPoint> runCcSweep(std::uint64_t seed, double durationSeconds) {
     std::vector<CcSweepPoint> points;
     for (const net::CcAlgorithm congestion : ccSweepAlgorithms()) {
         for (const double lossRate : ccSweepLossRates()) {
@@ -30,9 +29,7 @@ std::vector<CcSweepPoint> runCcSweep(std::uint64_t seed, double durationSeconds,
             // identical substrates, not on a shared warm cell.
             obs::beginRun();
             ppp::resetMagicEntropy();
-            scenario::FleetConfig config = scenario::makeUniformFleet(1, seed);
-            config.shards = shards;
-            scenario::Fleet fleet{std::move(config)};
+            scenario::Fleet fleet{scenario::makeUniformFleet(1, seed)};
             const auto started = fleet.startAll();
             if (!started.ok())
                 throw std::runtime_error("fleet start failed: " +

@@ -20,12 +20,9 @@ struct CcSweepPoint {
 [[nodiscard]] const std::vector<net::CcAlgorithm>& ccSweepAlgorithms();
 [[nodiscard]] const std::vector<double>& ccSweepLossRates();
 
-/// Run the full grid. `shards` selects the fleet engine (0 = legacy
-/// serial; N >= 1 = sharded, whose timeline is identical for every
-/// N >= 1). Deterministic for a given (seed, shards-regime).
+/// Run the full grid. Deterministic for a given seed.
 [[nodiscard]] std::vector<CcSweepPoint> runCcSweep(std::uint64_t seed,
-                                                   double durationSeconds,
-                                                   std::size_t shards = 0);
+                                                   double durationSeconds);
 
 /// The exact CSV `ext_tcp_cc_compare --csv` writes. The byte format is
 /// FROZEN — the golden digest in tests/bench pins it.

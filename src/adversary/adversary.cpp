@@ -85,23 +85,16 @@ void AdversaryDriver::arm() {
             continue;  // re-arm is a no-op
         const AdversaryConfig& config = attacker.config;
 
-        // Home simulator: node-side personalities live with their
-        // site's shard; operator-side ones with the core.
+        // Node-side personalities need their site to exist.
         const bool nodeSide = config.kind == PersonalityKind::fifo_flooder ||
                               config.kind == PersonalityKind::at_abuser;
-        if (nodeSide) {
-            scenario::UmtsNodeSite* target = site(config.site);
-            if (!target) {
-                attacker.finished = true;
-                ++attacker.stats.skipped;
-                obs::Registry::instance().counter("adversary.skipped").inc();
-                log_.warn() << kindName(config.kind) << " has no site " << config.site
-                            << ", skipped";
-                continue;
-            }
-            attacker.sim = &target->sim();
-        } else {
-            attacker.sim = &fleet_->sim();
+        if (nodeSide && !site(config.site)) {
+            attacker.finished = true;
+            ++attacker.stats.skipped;
+            obs::Registry::instance().counter("adversary.skipped").inc();
+            log_.warn() << kindName(config.kind) << " has no site " << config.site
+                        << ", skipped";
+            continue;
         }
 
         const sim::SimTime now = fleet_->now();
@@ -112,7 +105,7 @@ void AdversaryDriver::arm() {
             continue;
         }
         const sim::SimTime startAt = std::max(config.start, now);
-        attacker.startEvent = attacker.sim->scheduleAt(startAt, [this, i] { start(i); });
+        attacker.startEvent = fleet_->sim().scheduleAt(startAt, [this, i] { start(i); });
         ++armed_;
         log_.info() << "armed " << kindName(config.kind) << " on site " << config.site
                     << " window [" << sim::formatTime(startAt) << ", "
@@ -123,10 +116,10 @@ void AdversaryDriver::arm() {
 void AdversaryDriver::cancelAll() {
     for (std::size_t i = 0; i < attackers_.size(); ++i) {
         Attacker& attacker = attackers_[i];
-        if (attacker.sim) {
-            if (attacker.startEvent.valid()) attacker.sim->cancel(attacker.startEvent);
-            if (attacker.stopEvent.valid()) attacker.sim->cancel(attacker.stopEvent);
-            if (attacker.tickEvent.valid()) attacker.sim->cancel(attacker.tickEvent);
+        if (fleet_) {
+            fleet_->sim().cancel(attacker.startEvent);
+            fleet_->sim().cancel(attacker.stopEvent);
+            fleet_->sim().cancel(attacker.tickEvent);
         }
         attacker.startEvent = {};
         attacker.stopEvent = {};
@@ -207,10 +200,9 @@ void AdversaryDriver::start(std::size_t index) {
     }
 
     const sim::SimTime stopAt = attacker.config.start + attacker.config.duration;
-    attacker.stopEvent = attacker.sim->scheduleAt(stopAt, [this, index] { stop(index); });
-    attacker.tickEvent =
-        attacker.sim->schedule(sim::seconds(tickInterval(attacker)),
-                               [this, index] { tick(index); });
+    attacker.stopEvent = fleet_->sim().scheduleAt(stopAt, [this, index] { stop(index); });
+    attacker.tickEvent = fleet_->sim().schedule(sim::seconds(tickInterval(attacker)),
+                                                [this, index] { tick(index); });
     log_.info() << kindName(attacker.config.kind) << " on site " << attacker.config.site
                 << " active (intensity " << attacker.config.intensity << ")";
 }
@@ -218,7 +210,7 @@ void AdversaryDriver::start(std::size_t index) {
 void AdversaryDriver::stop(std::size_t index) {
     Attacker& attacker = attackers_[index];
     attacker.stopEvent = {};
-    if (attacker.tickEvent.valid() && attacker.sim) attacker.sim->cancel(attacker.tickEvent);
+    if (fleet_) fleet_->sim().cancel(attacker.tickEvent);
     attacker.tickEvent = {};
     if (attacker.active && fleet_ && attacker.config.kind == PersonalityKind::greedy_ue)
         if (umts::UmtsSession* session = sessionForSite(attacker.config.site))
@@ -245,9 +237,8 @@ void AdversaryDriver::tick(std::size_t index) {
     }
 
     if (!attacker.active) return;  // a personality may self-stop
-    attacker.tickEvent =
-        attacker.sim->schedule(sim::seconds(tickInterval(attacker)),
-                               [this, index] { tick(index); });
+    attacker.tickEvent = fleet_->sim().schedule(sim::seconds(tickInterval(attacker)),
+                                                [this, index] { tick(index); });
 }
 
 // ------------------------------------------------------ personalities

@@ -83,12 +83,8 @@ void registerAdversaryMetricFamilies();
 /// mid-window is a skip, not a crash), a Fleet teardown hook cancels
 /// everything pending, and destroying either side first is safe.
 ///
-/// Shard placement: node-side personalities (fifo_flooder, at_abuser)
-/// tick on their site's simulator — the node stack and the host end
-/// of the TTY live on the site shard in a sharded fleet — while the
-/// operator-side personalities tick on the fleet's core simulator.
-/// All scheduling is seeded per attacker, so a same-seed same-shard
-/// replay performs the identical action sequence.
+/// All scheduling is seeded per attacker, so a same-seed replay
+/// performs the identical action sequence.
 class AdversaryDriver {
   public:
     AdversaryDriver(scenario::Fleet& fleet, std::vector<AdversaryConfig> configs);
@@ -111,14 +107,13 @@ class AdversaryDriver {
     [[nodiscard]] const AttackerStats& attackerStats(std::size_t index) const {
         return attackers_[index].stats;
     }
-    /// Sum over attackers. Call between fleet advances (barrier time).
+    /// Sum over attackers.
     [[nodiscard]] AttackerStats totals() const;
 
   private:
     struct Attacker {
         AdversaryConfig config;
         util::RandomStream rng;
-        sim::Simulator* sim = nullptr;  ///< home shard simulator
         sim::EventHandle startEvent;
         sim::EventHandle stopEvent;
         sim::EventHandle tickEvent;

@@ -8,30 +8,15 @@ namespace onelab::net {
 Internet::Internet(sim::Simulator& simulator, util::RandomStream rng)
     : sim_(simulator), rng_(std::move(rng)) {}
 
-void Internet::attach(Interface& iface, AccessLink params, ShardPort port) {
+void Internet::attach(Interface& iface, AccessLink params) {
     auto attachment = std::make_unique<Attachment>();
     attachment->iface = &iface;
     attachment->params = params;
-    attachment->port = std::move(port);
-    // The egress queue serialises on the hub's simulator in both
-    // modes: forward() always runs hub-side.
     attachment->egress =
         std::make_unique<TxQueue>(sim_, params.rateBitsPerSecond, params.queueBytes);
     attachment->epoch = 0;
     Attachment* raw = attachment.get();
-    if (raw->port.remote()) {
-        // The tx handler fires on the owner shard: hand the packet to
-        // the hub shard (one cut latency away) and do all routing,
-        // loss and delay work there. Only the owner's clock and the
-        // post function are touched on this thread.
-        iface.setTxHandler([this, raw](Packet pkt) {
-            auto shared = std::make_shared<Packet>(std::move(pkt));
-            raw->port.postToHub(raw->port.sim->now() + shardCut_,
-                                [this, raw, shared] { forward(*raw, std::move(*shared)); });
-        });
-    } else {
-        iface.setTxHandler([this, raw](Packet pkt) { forward(*raw, std::move(pkt)); });
-    }
+    iface.setTxHandler([this, raw](Packet pkt) { forward(*raw, std::move(pkt)); });
     attachments_.push_back(std::move(attachment));
 }
 
@@ -66,18 +51,6 @@ void Internet::setTransitDelay(const Interface& a, const Interface& b, sim::SimT
 sim::SimTime Internet::transitBetween(const Interface* a, const Interface* b) const {
     const auto it = transit_.find({a, b});
     return it == transit_.end() ? defaultTransit_ : it->second;
-}
-
-std::optional<sim::SimTime> Internet::minDeliveryDelay() const {
-    std::optional<sim::SimTime> best;
-    for (const auto& from : attachments_)
-        for (const auto& to : attachments_) {
-            if (from.get() == to.get()) continue;
-            const sim::SimTime delay = from->params.baseDelay + to->params.baseDelay +
-                                       transitBetween(from->iface, to->iface);
-            if (!best || delay < *best) best = delay;
-        }
-    return best;
 }
 
 Internet::Attachment* Internet::routeTo(Ipv4Address dst) {
@@ -129,17 +102,6 @@ void Internet::forward(Attachment& from, Packet pkt) {
 
         Interface* destIface = to->iface;
         const std::uint64_t epoch = to->epoch;
-        if (to->port.remote()) {
-            // Cross-shard delivery: the detach/epoch check happens now
-            // (hub-side, where attachments_ lives); remote attachments
-            // only detach at teardown, so the check cannot go stale in
-            // flight. The closure runs on the owner shard at arrival.
-            ++delivered_;
-            to->port.postIn(arrival, [destIface, shared]() mutable {
-                destIface->deliver(std::move(*shared));
-            });
-            return;
-        }
         sim_.scheduleAt(arrival, [this, destIface, epoch, shared] {
             // Destination may have detached meanwhile.
             const auto it = std::find_if(attachments_.begin(), attachments_.end(),

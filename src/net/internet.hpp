@@ -2,12 +2,10 @@
 
 #include <map>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "net/interface.hpp"
 #include "net/queue.hpp"
-#include "sim/mailbox.hpp"
 #include "sim/simulator.hpp"
 #include "util/logging.hpp"
 #include "util/rand.hpp"
@@ -21,17 +19,6 @@ struct AccessLink {
     double lossProbability = 0.0;           ///< independent per-packet loss
     double jitterStddevMillis = 0.0;        ///< truncated-normal extra delay
     std::size_t queueBytes = 512 * 1024;    ///< egress drop-tail buffer
-};
-
-/// Shard wiring for an attachment whose interface lives on a different
-/// shard than the Internet (the hub, always on the core shard). Left
-/// default-constructed, the attachment is hub-local (the serial path).
-struct ShardPort {
-    sim::Simulator* sim = nullptr;  ///< the interface owner's simulator
-    sim::ShardPost postIn;          ///< hub shard -> owner shard (deliveries)
-    sim::ShardPost postToHub;       ///< owner shard -> hub shard (tx ingress)
-
-    [[nodiscard]] bool remote() const noexcept { return sim != nullptr; }
 };
 
 /// The wired Internet between sites, modelled as a star: every
@@ -48,25 +35,11 @@ class Internet {
 
     /// Attach an interface: the cloud takes over the interface's tx
     /// handler; packets whose destination matches another attachment
-    /// (by address or announced prefix) are delivered there. A remote
-    /// `port` makes this attachment a shard cut: tx packets post into
-    /// the hub shard (+ shardCutLatency), deliveries post back to the
-    /// owner shard at the computed arrival time. Remote attachments
-    /// must not detach mid-run (teardown only).
-    void attach(Interface& iface, AccessLink params, ShardPort port = {});
+    /// (by address or announced prefix) are delivered there.
+    void attach(Interface& iface, AccessLink params);
 
     /// Detach (e.g. node shutdown); pending deliveries are dropped.
     void detach(Interface& iface);
-
-    /// Extra one-way latency a remote attachment's tx packets pay to
-    /// reach the hub shard; must be >= the owning group's lookahead.
-    void setShardCutLatency(sim::SimTime cut) noexcept { shardCut_ = cut; }
-
-    /// Minimum end-to-end delivery delay over all current attachment
-    /// pairs (both base delays plus the pair transit; jitter only adds).
-    /// The shard partitioner derives its lookahead bound from this.
-    /// nullopt with fewer than two attachments.
-    [[nodiscard]] std::optional<sim::SimTime> minDeliveryDelay() const;
 
     /// Announce that `prefix` is reachable via `iface` (the GGSN
     /// announces the UMTS subscriber pool this way).
@@ -86,7 +59,6 @@ class Internet {
     struct Attachment {
         Interface* iface;
         AccessLink params;
-        ShardPort port;  ///< remote() when the iface lives on another shard
         std::unique_ptr<TxQueue> egress;
         std::uint64_t epoch;  ///< bump on detach to void in-flight packets
     };
@@ -103,7 +75,6 @@ class Internet {
     std::map<std::pair<const Interface*, const Interface*>, sim::SimTime> transit_;
     std::map<std::pair<const Interface*, const Interface*>, sim::SimTime> lastArrival_;
     sim::SimTime defaultTransit_ = sim::millis(5);
-    sim::SimTime shardCut_{0};
     std::uint64_t delivered_ = 0;
     std::uint64_t lost_ = 0;
     std::uint64_t unroutable_ = 0;

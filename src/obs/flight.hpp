@@ -54,8 +54,8 @@ struct FlightEntry {
 /// Like Registry/Tracer, `instance()` resolves to the calling thread's
 /// current recorder: the process singleton by default, or the private
 /// instance an obs::RunContext installs, so parallel sweep workers
-/// each keep an independent black box. Single-writer like the
-/// registry: the owning thread records, other threads must not.
+/// each keep an independent black box. Single-writer: the owning
+/// thread records, other threads must not.
 class FlightRecorder {
   public:
     static FlightRecorder& instance();

@@ -298,87 +298,6 @@ std::string mergeTraces(const std::vector<JsonValue>& docs) {
     return merged.serialize() + "\n";
 }
 
-namespace {
-
-/// Phase rank mirroring the fleet exporter's tie-break: a span begin
-/// sorts before an instant before an end at the same timestamp.
-int phaseRank(const std::string& ph) {
-    if (ph == "B") return 0;
-    if (ph == "E") return 2;
-    return 1;
-}
-
-}  // namespace
-
-std::string mergeTracesStable(const std::vector<JsonValue>& docs) {
-    std::vector<JsonValue> events;
-    for (const JsonValue& doc : docs) {
-        const JsonValue* input = doc.find("traceEvents");
-        if (!input || !input->isArray()) continue;
-        for (const JsonValue& event : input->array()) {
-            JsonValue copy = event;
-            copy.set("tid", JsonValue::makeNumber(1.0));
-            events.push_back(std::move(copy));
-        }
-    }
-    std::stable_sort(events.begin(), events.end(),
-                     [](const JsonValue& a, const JsonValue& b) {
-                         const double tsA = a.numberOr("ts", 0.0);
-                         const double tsB = b.numberOr("ts", 0.0);
-                         if (tsA != tsB) return tsA < tsB;
-                         const std::string catA = a.stringOr("cat", "");
-                         const std::string catB = b.stringOr("cat", "");
-                         if (catA != catB) return catA < catB;
-                         const std::string nameA = a.stringOr("name", "");
-                         const std::string nameB = b.stringOr("name", "");
-                         if (nameA != nameB) return nameA < nameB;
-                         const int phA = phaseRank(a.stringOr("ph", "i"));
-                         const int phB = phaseRank(b.stringOr("ph", "i"));
-                         if (phA != phB) return phA < phB;
-                         return traceDetail(a) < traceDetail(b);
-                     });
-    JsonValue merged = JsonValue::makeObject();
-    JsonValue out = JsonValue::makeArray();
-    for (JsonValue& event : events) out.append(std::move(event));
-    merged.set("traceEvents", std::move(out));
-    return merged.serialize() + "\n";
-}
-
-std::string mergeFlights(const std::vector<JsonValue>& docs) {
-    std::vector<JsonValue> entries;
-    double dropped = 0.0;
-    for (const JsonValue& doc : docs) {
-        dropped += doc.numberOr("dropped", 0.0);
-        const JsonValue* input = doc.find("entries");
-        if (!input || !input->isArray()) continue;
-        for (const JsonValue& entry : input->array()) entries.push_back(entry);
-    }
-    std::stable_sort(entries.begin(), entries.end(),
-                     [](const JsonValue& a, const JsonValue& b) {
-                         const double tA = a.numberOr("t_ns", 0.0);
-                         const double tB = b.numberOr("t_ns", 0.0);
-                         if (tA != tB) return tA < tB;
-                         const std::string catA = a.stringOr("cat", "");
-                         const std::string catB = b.stringOr("cat", "");
-                         if (catA != catB) return catA < catB;
-                         const std::string nameA = a.stringOr("name", "");
-                         const std::string nameB = b.stringOr("name", "");
-                         if (nameA != nameB) return nameA < nameB;
-                         const std::string kindA = a.stringOr("kind", "");
-                         const std::string kindB = b.stringOr("kind", "");
-                         if (kindA != kindB) return kindA < kindB;
-                         return a.stringOr("detail", "") < b.stringOr("detail", "");
-                     });
-    JsonValue merged = JsonValue::makeObject();
-    merged.set("reason", JsonValue::makeString(
-                             "merge of " + std::to_string(docs.size()) + " fragment(s)"));
-    merged.set("dropped", JsonValue::makeNumber(dropped));
-    JsonValue out = JsonValue::makeArray();
-    for (JsonValue& entry : entries) out.append(std::move(entry));
-    merged.set("entries", std::move(out));
-    return merged.serialize() + "\n";
-}
-
 std::string selfCheck() {
     const char* kTrace =
         R"json({"traceEvents":[

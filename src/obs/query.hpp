@@ -55,21 +55,6 @@ struct Filter {
 /// can be compared on one Perfetto timeline. Returns serialized JSON.
 [[nodiscard]] std::string mergeTraces(const std::vector<util::JsonValue>& docs);
 
-/// Merge per-shard trace fragments of ONE run into a single stable
-/// timeline: every event lands on tid 1 and the stream is stably
-/// sorted by (ts, category, name, phase B<i<E, detail) — the same
-/// content order the sharded fleet exporter uses, so the result is
-/// independent of fragment order and of how sites were partitioned
-/// over shards. Returns serialized JSON.
-[[nodiscard]] std::string mergeTracesStable(const std::vector<util::JsonValue>& docs);
-
-/// Merge per-shard flight-recorder fragments (flight.shard<k>.json)
-/// into one dump: entries stably sorted by (t_ns, category, name,
-/// kind, detail), `dropped` counts summed, reason recording the
-/// fragment count. Fragment order does not affect the output beyond
-/// breaking exact-key ties (stable sort). Returns serialized JSON.
-[[nodiscard]] std::string mergeFlights(const std::vector<util::JsonValue>& docs);
-
 /// Built-in consistency check over embedded sample documents; returns
 /// a failure description or empty on success. Exercised by CI as
 /// `obsq --self-check` so a broken parser fails the matrix, not a

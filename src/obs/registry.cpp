@@ -194,9 +194,8 @@ std::vector<MetricSample> Registry::snapshot() const {
     return samples;
 }
 
-std::string Registry::snapshotJson() const { return metricsJson(snapshot()); }
-
-std::string metricsJson(const std::vector<MetricSample>& samples) {
+std::string Registry::snapshotJson() const {
+    const std::vector<MetricSample> samples = snapshot();
     std::ostringstream out;
     out << "{\"metrics\":[";
     bool firstMetric = true;

@@ -17,17 +17,12 @@ enum class MetricKind : std::uint8_t { counter, gauge, histogram };
 [[nodiscard]] const char* metricKindName(MetricKind kind) noexcept;
 
 /// Monotonic event count. Registration happens once, at construction.
-/// Single-writer: a registry is owned by one thread (process-wide by
-/// default, per-worker under an obs::RunContext), so inc() is a plain
-/// load+store on an atomic word — readers on other threads see a
-/// consistent (possibly slightly stale) value without the cost of an
-/// atomic read-modify-write on the datapath.
+/// inc() is a relaxed atomic add: increments from several threads are
+/// never lost, and readers see a consistent (possibly slightly stale)
+/// value.
 class Counter {
   public:
-    void inc(std::uint64_t n = 1) noexcept {
-        value_.store(value_.load(std::memory_order_relaxed) + n,
-                     std::memory_order_relaxed);
-    }
+    void inc(std::uint64_t n = 1) noexcept { value_.fetch_add(n, std::memory_order_relaxed); }
     [[nodiscard]] std::uint64_t value() const noexcept {
         return value_.load(std::memory_order_relaxed);
     }
@@ -39,14 +34,13 @@ class Counter {
     std::atomic<std::uint64_t> value_{0};
 };
 
-/// Instantaneous signed level (queue depth, backlog bytes).
-/// Single-writer like Counter: add() avoids the atomic RMW.
+/// Instantaneous signed level (queue depth, backlog bytes). add() is
+/// a relaxed atomic add, like Counter::inc().
 class Gauge {
   public:
     void set(std::int64_t v) noexcept { value_.store(v, std::memory_order_relaxed); }
     void add(std::int64_t delta) noexcept {
-        value_.store(value_.load(std::memory_order_relaxed) + delta,
-                     std::memory_order_relaxed);
+        value_.fetch_add(delta, std::memory_order_relaxed);
     }
     [[nodiscard]] std::int64_t value() const noexcept {
         return value_.load(std::memory_order_relaxed);
@@ -96,12 +90,11 @@ class Histogram {
     std::vector<double> bounds_;                     ///< finite upper bounds
     std::vector<std::atomic<std::uint64_t>> counts_; ///< bounds_.size() + 1 (overflow)
     std::atomic<std::uint64_t> count_{0};
-    /// The sum accumulates in 2^16 fixed point, not double: integer
-    /// addition is associative, so the exported sum is identical no
-    /// matter how observations are grouped across shards and summed
-    /// at merge — double partial sums would drift in the last digit
-    /// with the partition. Quantization is 1/65536 of the observed
-    /// unit; headroom is ~1.4e14 units before int64 overflow.
+    /// The sum accumulates in 2^16 fixed point, not double: an integer
+    /// fetch_add is lock-free, and integer addition is associative, so
+    /// the exported sum does not depend on the order observations land
+    /// in. Quantization is 1/65536 of the observed unit; headroom is
+    /// ~1.4e14 units before int64 overflow.
     static constexpr double kSumScale = 65536.0;
     std::atomic<std::int64_t> sumScaled_{0};
 };
@@ -117,12 +110,6 @@ struct MetricSample {
     std::vector<double> bucketBounds;          ///< histogram (finite bounds then +inf)
     std::vector<std::uint64_t> bucketCounts;   ///< histogram
 };
-
-/// Serialize samples as the metrics.json document ({"metrics": [...]}).
-/// Registry::snapshotJson() is this applied to snapshot(); the merged
-/// multi-registry export (sharded fleets) reuses it so both paths stay
-/// byte-compatible.
-[[nodiscard]] std::string metricsJson(const std::vector<MetricSample>& samples);
 
 class Registry;
 

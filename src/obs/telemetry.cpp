@@ -25,17 +25,6 @@ util::Result<void> writeFile(const std::filesystem::path& path, const std::strin
 
 }  // namespace
 
-util::Result<void> writeTelemetryText(const std::string& directory,
-                                      const std::string& filename,
-                                      const std::string& text) {
-    std::error_code ec;
-    std::filesystem::create_directories(directory, ec);
-    if (ec)
-        return util::Error{util::Error::Code::io,
-                           "cannot create " + directory + ": " + ec.message()};
-    return writeFile(std::filesystem::path{directory} / filename, text);
-}
-
 util::Result<void> writeTelemetry(const std::string& directory) {
     std::error_code ec;
     std::filesystem::create_directories(directory, ec);

@@ -21,14 +21,6 @@ inline constexpr const char* kFlightFile = "flight.json";
 /// first so metrics.json carries the recorder.*/profile.* families.
 [[nodiscard]] util::Result<void> writeTelemetry(const std::string& directory);
 
-/// Write one telemetry document to directory/filename (the directory
-/// is created if needed). Building block for exporters that assemble
-/// their documents from several sources (the sharded fleet's merged
-/// metrics/trace) instead of the thread-ambient singletons.
-[[nodiscard]] util::Result<void> writeTelemetryText(const std::string& directory,
-                                                    const std::string& filename,
-                                                    const std::string& text);
-
 /// Arm telemetry for a fresh run: zero every registry metric, drop any
 /// buffered trace events, enable the tracer, clear the flight-recorder
 /// ring and restart the profiler window if profiling is on.

@@ -151,9 +151,8 @@ std::uint64_t Tracer::dropped() const {
     return droppedEvents_;
 }
 
-std::string Tracer::exportChromeJson() const { return chromeTraceJson(events()); }
-
-std::string chromeTraceJson(const std::vector<TraceEvent>& all) {
+std::string Tracer::exportChromeJson() const {
+    const std::vector<TraceEvent> all = events();
     std::ostringstream out;
     out << "{\"traceEvents\":[";
     bool first = true;

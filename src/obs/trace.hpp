@@ -20,12 +20,6 @@ struct TraceEvent {
     std::string detail;       ///< free-form args, pre-formatted
 };
 
-/// Serialize events as a Chrome trace_event JSON document.
-/// Tracer::exportChromeJson() is this applied to events(); the merged
-/// multi-tracer export reuses it. Deterministic: same events in,
-/// byte-identical JSON out.
-[[nodiscard]] std::string chromeTraceJson(const std::vector<TraceEvent>& events);
-
 /// Process-wide sim-time event tracer: a bounded ring buffer of
 /// begin/end spans and instant events, exportable as Chrome
 /// `trace_event` JSON (loadable in chrome://tracing and Perfetto).

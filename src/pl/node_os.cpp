@@ -72,9 +72,9 @@ util::Result<net::UdpSocket*> NodeOs::openRootUdp(std::uint16_t port) {
 
 net::TcpHost& NodeOs::tcp() {
     if (!tcp_) {
-        // FNV-1a over the hostname: stable across builds and shards,
-        // so ISS draws and ephemeral ports are a pure function of the
-        // node's identity.
+        // FNV-1a over the hostname: stable across builds and processes
+        // (unlike std::hash), so ISS draws and ephemeral ports are a
+        // pure function of the node's identity.
         std::uint64_t seed = 1469598103934665603ull;
         for (const char c : hostname_) {
             seed ^= std::uint8_t(c);

@@ -62,22 +62,9 @@ const char* authName(AuthProtocol auth) noexcept {
     return "?";
 }
 
-std::uint32_t Lcp::nextMagicSalt() {
-    if (config_.entropySeed == 0) return magicSalt();
-    // Seeded mode: the salt is a pure function of the instance's seed
-    // and its own draw ordinal — independent of thread, shard layout,
-    // and whatever other endpoints ran before us.
-    std::uint32_t x = std::uint32_t(config_.entropySeed ^ (config_.entropySeed >> 32));
-    x += ++entropyDraws_ * 0x9e3779b9u;
-    x ^= x >> 16;
-    x *= 0x85ebca6bu;
-    x ^= x >> 13;
-    return x | 1u;  // never zero
-}
-
 Lcp::Lcp(sim::Simulator& simulator, LcpConfig config, util::RandomStream rng, Timers timers)
     : Fsm(simulator, "lcp", timers), config_(config), rng_(std::move(rng)) {
-    result_.localMagic = std::uint32_t(rng_.uniformInt(1, 0x7fffffff)) ^ nextMagicSalt();
+    result_.localMagic = std::uint32_t(rng_.uniformInt(1, 0x7fffffff)) ^ magicSalt();
     if (result_.localMagic == 0) result_.localMagic = 1;
 }
 
@@ -133,7 +120,7 @@ ConfigDecision Lcp::checkConfigRequest(const std::vector<Option>& options) {
                 // fresh random value (RFC 1661 §6.4).
                 if (!magic || *magic == 0 || *magic == result_.localMagic) {
                     std::uint32_t fresh =
-                        std::uint32_t(rng_.uniformInt(1, 0x7fffffff)) ^ nextMagicSalt();
+                        std::uint32_t(rng_.uniformInt(1, 0x7fffffff)) ^ magicSalt();
                     if (fresh == 0 || fresh == result_.localMagic) fresh ^= 0x5bd1e995u;
                     decision.options.push_back(makeU32Option(lcp_opt::magic_number, fresh));
                 }

@@ -22,15 +22,6 @@ void resetMagicEntropy() noexcept;
 
 /// Local LCP desires.
 struct LcpConfig {
-    /// Nonzero: magic-number entropy derives from this seed plus a
-    /// per-instance draw ordinal instead of the process-global
-    /// (thread-local) counter. Sharded fleets set it (from the
-    /// endpoint's own pppd seed) so magic numbers — and hence HDLC
-    /// escaping and frame lengths — never depend on which worker
-    /// thread ran the bring-up. Zero keeps the legacy counter, whose
-    /// draw order is what breaks rng symmetry between
-    /// identically-seeded endpoints.
-    std::uint64_t entropySeed = 0;
     std::uint16_t mru = 1500;
     std::uint32_t accm = 0x00000000;  ///< we can receive unescaped control chars
     bool requestMagic = true;
@@ -89,12 +80,9 @@ class Lcp final : public Fsm {
     void onThisLayerFinished() override;
 
   private:
-    [[nodiscard]] std::uint32_t nextMagicSalt();
-
     LcpConfig config_;
     LcpResult result_;
     util::RandomStream rng_;
-    std::uint32_t entropyDraws_ = 0;
     // Which of our options the peer rejected (stop requesting them).
     bool magicRejected_ = false;
     bool pfcRejected_ = false;

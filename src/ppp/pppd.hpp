@@ -148,12 +148,11 @@ class Pppd {
 
     sim::Simulator& sim_;
     /// Private frame-buffer pool: sendFrame() encodes into these and
-    /// hands refcounted slices down the line. Keeping the freelist
-    /// per-pppd (instead of using the shard-shared simulator pool)
-    /// makes its reuse/allocate split deterministic per link, so the
-    /// merged sim.pool.* counters stay byte-identical no matter which
-    /// shard this stack lands on. Declared before the subsystems that
-    /// might hold slices; outstanding slices orphan safely regardless.
+    /// hands refcounted slices down the line. The freelist is per-pppd,
+    /// so its reuse/allocate split depends on this link's traffic only;
+    /// the exported sim.pool.* counters include that split. Declared
+    /// before the subsystems that might hold slices; outstanding slices
+    /// orphan safely regardless.
     sim::BufferPool framePool_;
     PppdConfig config_;
     util::Logger log_;

@@ -1,16 +1,12 @@
 #include "scenario/fleet.hpp"
 
-#include <algorithm>
-
 #include "ditg/receiver.hpp"
 #include "ditg/sender.hpp"
 #include "ditg/tcp_flow.hpp"
 #include "obs/flight.hpp"
-#include "obs/merge.hpp"
 #include "obs/profiler.hpp"
 #include "obs/registry.hpp"
 #include "obs/telemetry.hpp"
-#include "obs/trace.hpp"
 
 namespace onelab::scenario {
 
@@ -37,96 +33,18 @@ FleetConfig makeUniformFleet(std::size_t ueCount, std::uint64_t seed,
     return config;
 }
 
-std::size_t Fleet::shardOfSite(std::size_t ordinal) const noexcept {
-    // The core (Internet hub, operator network, modems) is shard 0;
-    // site stacks round-robin over the remaining shards. The mapping
-    // never feeds the determinism argument — any partition yields the
-    // same timeline — it only balances load.
-    if (!group_ || group_->shardCount() == 1) return 0;
-    return 1 + ordinal % (group_->shardCount() - 1);
-}
-
 Fleet::Fleet(FleetConfig config) : config_(std::move(config)), rng_(config_.seed) {
     // Registered up front so a telemetry export carries the family
     // (zero included) whether or not a bring-up ever failed.
     (void)obs::Registry::instance().counter("fleet.start_failures");
-    if (config_.shards > 0) {
-        // Conservative lookahead: the tightest latency over the cut
-        // edges. Every cut pays at least shardCutLatency; wired
-        // deliveries (hub -> remote site) pay both access-link base
-        // delays plus the pair transit, bounded below by the smaller
-        // configured transit. The bound is re-checked against the
-        // live topology once every attachment exists (below).
-        const sim::SimTime minWired =
-            sim::micros(400) + std::min(config_.ethTransitOneWay, config_.ggsnTransitOneWay);
-        group_ = std::make_unique<sim::ShardGroup>(
-            config_.shards, std::min(config_.shardCutLatency, minWired));
-        // Magic-number entropy must not depend on which worker thread
-        // runs a bring-up (the thread-local counter does); pin it to
-        // per-endpoint seeds instead. Sites do the same for their
-        // dialer-side pppd (site.cpp).
-        config_.operatorProfile.deterministicLcpMagic = true;
-    }
-    sim::Simulator& coreSim = group_ ? group_->shard(0).sim() : sim_;
-    {
-        // Core-side components register their observability in the
-        // core shard's bundle — the thread that drives them owns it.
-        std::optional<sim::ShardObsScope> coreScope;
-        if (group_) coreScope.emplace(group_->shard(0));
-        internet_ = std::make_unique<net::Internet>(coreSim, rng_.derive("internet"));
-        if (group_) internet_->setShardCutLatency(config_.shardCutLatency);
-        operator_ = std::make_unique<umts::UmtsNetwork>(
-            coreSim, *internet_, config_.operatorProfile, rng_.derive("operator"));
-    }
-
-    const std::size_t umtsCount = config_.umtsSites.size();
-    for (std::size_t i = 0; i < umtsCount; ++i) {
-        const UmtsNodeSiteConfig& siteConfig = config_.umtsSites[i];
-        if (!group_) {
-            umtsSites_.push_back(std::make_unique<UmtsNodeSite>(sim_, *internet_, *operator_,
-                                                                rng_, siteConfig));
-            continue;
-        }
-        const std::size_t shardIndex = shardOfSite(i);
-        sim::SimShard& siteShard = group_->shard(shardIndex);
-        SiteShardSlot slot;
-        slot.siteShard = &siteShard;
-        slot.coreShard = &group_->shard(0);
-        slot.cutLatency = config_.shardCutLatency;
-        // Mailbox ranks derive from the fleet-wide site ordinal, never
-        // the shard layout, so same-timestamp drain merges order
-        // identically for every shard count.
-        slot.postToCore = group_->makePort(0, siteConfig.hostname + "->core", 2 * i + 1);
-        slot.postToSite =
-            group_->makePort(shardIndex, "core->" + siteConfig.hostname, 2 * i + 2);
-        umtsShard_.push_back(shardIndex);
-        sim::ShardObsScope scope(siteShard);
-        umtsSites_.push_back(std::make_unique<UmtsNodeSite>(
-            siteShard.sim(), *internet_, *operator_, rng_, siteConfig, std::move(slot)));
-        UmtsNodeSite& site = *umtsSites_.back();
-        site.setDriverPump([this] { return group_->now(); },
-                           [this](sim::SimTime until) { group_->runUntil(until); });
-    }
-    for (std::size_t i = 0; i < config_.wiredSites.size(); ++i) {
-        const WiredSiteConfig& siteConfig = config_.wiredSites[i];
-        if (!group_) {
-            wiredSites_.push_back(std::make_unique<WiredSite>(sim_, *internet_, siteConfig));
-            continue;
-        }
-        const std::size_t ordinal = umtsCount + i;
-        const std::size_t shardIndex = shardOfSite(ordinal);
-        sim::SimShard& siteShard = group_->shard(shardIndex);
-        net::ShardPort port;
-        port.sim = &siteShard.sim();
-        port.postIn =
-            group_->makePort(shardIndex, "core->" + siteConfig.hostname, 2 * ordinal + 2);
-        port.postToHub = group_->makePort(0, siteConfig.hostname + "->core", 2 * ordinal + 1);
-        wiredShard_.push_back(shardIndex);
-        sim::ShardObsScope scope(siteShard);
-        wiredSites_.push_back(
-            std::make_unique<WiredSite>(siteShard.sim(), *internet_, siteConfig,
-                                        std::move(port)));
-    }
+    internet_ = std::make_unique<net::Internet>(sim_, rng_.derive("internet"));
+    operator_ = std::make_unique<umts::UmtsNetwork>(sim_, *internet_, config_.operatorProfile,
+                                                    rng_.derive("operator"));
+    for (const UmtsNodeSiteConfig& siteConfig : config_.umtsSites)
+        umtsSites_.push_back(
+            std::make_unique<UmtsNodeSite>(sim_, *internet_, *operator_, rng_, siteConfig));
+    for (const WiredSiteConfig& siteConfig : config_.wiredSites)
+        wiredSites_.push_back(std::make_unique<WiredSite>(sim_, *internet_, siteConfig));
 
     // Wired transit delays between every site pair (and the operator's
     // core toward each). Ordered UE x wired first to match the
@@ -153,71 +71,10 @@ Fleet::Fleet(FleetConfig config) : config_(std::move(config)), rng_(config_.seed
     for (auto& ue : umtsSites_) operator_->addDnsRecord(ue->hostname(), ue->ethAddress());
     for (auto& wired : wiredSites_)
         operator_->addDnsRecord(wired->hostname(), wired->address());
-
-    // The conservative-lookahead safety argument needs every cut edge
-    // to carry at least the lookahead; verify against the topology as
-    // built rather than trusting the config-time estimate.
-    if (group_) {
-        const auto minWire = internet_->minDeliveryDelay();
-        if (minWire && *minWire < group_->lookahead())
-            throw std::runtime_error(
-                "fleet shard lookahead exceeds the minimum wired delivery delay");
-        // Give the driver thread's ambient log/trace/flight clocks the
-        // core shard's sim time: the driver only acts at barriers,
-        // where every shard clock agrees, so its own records carry the
-        // fleet time instead of zeros.
-        group_->shard(0).sim().attachLogClock();
-    }
 }
 
 util::Result<void> Fleet::writeTelemetry(const std::string& directory) {
-    if (!group_) return obs::writeTelemetry(directory);
-    obs::Registry& driverRegistry = obs::Registry::instance();
-    // Shard-engine throughput, exported as gauges so repeated exports
-    // stay idempotent. Every value is partition-independent (windows
-    // and mail traffic depend on the event timeline and the cut edges,
-    // both fixed by the seed — not on how sites map to shards), so the
-    // merged document stays byte-identical across shard counts. The
-    // shard count itself is deliberately NOT exported here for that
-    // reason; benches report it out-of-band.
-    driverRegistry.gauge("sim.shard.windows").set(std::int64_t(group_->windows()));
-    driverRegistry.gauge("sim.shard.mail_posted").set(std::int64_t(group_->mailPosted()));
-    driverRegistry.gauge("sim.shard.mail_delivered")
-        .set(std::int64_t(group_->mailDelivered()));
-    driverRegistry.gauge("sim.shard.mail_dropped").set(std::int64_t(group_->mailDropped()));
-    driverRegistry.gauge("sim.shard.late_deliveries")
-        .set(std::int64_t(group_->lateDeliveries()));
-    obs::FlightRecorder::instance().syncMetrics(driverRegistry);
-    obs::Profiler::instance().syncMetrics(driverRegistry);
-
-    std::vector<std::vector<obs::MetricSample>> snapshots;
-    std::vector<std::vector<obs::TraceEvent>> streams;
-    snapshots.push_back(driverRegistry.snapshot());
-    streams.push_back(obs::Tracer::instance().events());
-    for (std::size_t k = 0; k < group_->shardCount(); ++k) {
-        sim::SimShard& shard = group_->shard(k);
-        shard.flightRecorder().syncMetrics(shard.registry());
-        shard.profiler().syncMetrics(shard.registry());
-        snapshots.push_back(shard.registry().snapshot());
-        streams.push_back(shard.tracer().events());
-        // One black-box fragment per shard; `obsq merge` interleaves
-        // them into a single timeline when a human needs one.
-        const auto flight = shard.flightRecorder().dump(
-            "telemetry export",
-            directory + "/flight.shard" + std::to_string(k) + ".json");
-        if (!flight.ok()) return flight;
-    }
-    auto metrics = obs::writeTelemetryText(
-        directory, obs::kMetricsFile, obs::metricsJson(obs::mergeMetricSamples(snapshots)));
-    if (!metrics.ok()) return metrics;
-    auto trace = obs::writeTelemetryText(
-        directory, obs::kTraceFile,
-        obs::chromeTraceJson(obs::mergeTraceEvents(std::move(streams))));
-    if (!trace.ok()) return trace;
-    // The profile is a wall-clock artifact (not part of any determinism
-    // contract): the driver's window suffices.
-    return obs::writeTelemetryText(directory, obs::kProfileFile,
-                                   obs::Profiler::instance().exportJson());
+    return obs::writeTelemetry(directory);
 }
 
 Fleet::~Fleet() {
@@ -227,10 +84,6 @@ Fleet::~Fleet() {
     for (auto it = teardownHooks_.rbegin(); it != teardownHooks_.rend(); ++it)
         if (*it) (*it)();
     teardownHooks_.clear();
-    // Quiesce the shard workers and drop in-flight cross-shard mail
-    // before any site is destroyed; the shard simulators themselves
-    // (declared first) die last, after every object scheduled on them.
-    if (group_) group_->shutdown();
 }
 
 void Fleet::addTeardownHook(std::function<void()> hook) {
@@ -243,17 +96,11 @@ util::Result<umtsctl::UmtsReport> Fleet::startUmts(std::size_t index, sim::SimTi
 
 util::Result<void> Fleet::startAll(sim::SimTime timeout) {
     std::vector<std::optional<util::Result<umtsctl::UmtsReport>>> outcomes(umtsSites_.size());
-    for (std::size_t i = 0; i < umtsSites_.size(); ++i) {
-        // Sharded: the frontend's synchronous prefix runs on this
-        // (driver) thread — point its lazy observability at the shard
-        // that owns the site.
-        std::optional<sim::ShardObsScope> scope;
-        if (group_) scope.emplace(group_->shard(umtsShard_[i]));
+    for (std::size_t i = 0; i < umtsSites_.size(); ++i)
         umtsSites_[i]->frontend().start(
             [&outcomes, i](util::Result<umtsctl::UmtsReport> result) {
                 outcomes[i] = std::move(result);
             });
-    }
     const sim::SimTime deadline = now() + timeout;
     const auto allDone = [&outcomes] {
         for (const auto& outcome : outcomes)
@@ -339,20 +186,10 @@ std::vector<FleetCbrRun> Fleet::runCbrOnSites(const std::vector<std::size_t>& in
     if (wiredSites_.empty()) throw std::runtime_error("fleet has no wired receiver site");
     WiredSite& receiverSite = *wiredSites_.front();
 
-    // Sharded: socket/receiver construction registers metrics and may
-    // log — do it under the owning shard's observability so the cells
-    // it caches are the ones that shard's worker thread will update.
-    auto recvSocket = [&] {
-        std::optional<sim::ShardObsScope> scope;
-        if (group_) scope.emplace(group_->shard(wiredShard_.front()));
-        return receiverSite.node().openSliceUdp(receiverSite.firstSlice(), 9001);
-    }();
+    auto recvSocket = receiverSite.node().openSliceUdp(receiverSite.firstSlice(), 9001);
     if (!recvSocket.ok())
         throw std::runtime_error("receiver socket: " + recvSocket.error().message);
-    std::optional<sim::ShardObsScope> recvScope;
-    if (group_) recvScope.emplace(group_->shard(wiredShard_.front()));
     ditg::ItgRecv receiver{*recvSocket.value()};
-    recvScope.reset();
 
     struct ActiveFlow {
         std::size_t siteIndex;
@@ -364,8 +201,6 @@ std::vector<FleetCbrRun> Fleet::runCbrOnSites(const std::vector<std::size_t>& in
     flows.reserve(indices.size());
     for (const std::size_t index : indices) {
         UmtsNodeSite& site = *umtsSites_.at(index);
-        std::optional<sim::ShardObsScope> siteScope;
-        if (group_) siteScope.emplace(group_->shard(umtsShard_[index]));
         auto sendSocket = site.node().openSliceUdp(site.umtsSlice());
         if (!sendSocket.ok())
             throw std::runtime_error(site.hostname() + " sender socket: " +
@@ -374,7 +209,7 @@ std::vector<FleetCbrRun> Fleet::runCbrOnSites(const std::vector<std::size_t>& in
         const auto flowId = std::uint16_t(10 + index);
         ditg::FlowSpec spec = ditg::cbr1MbpsFlow(flowId, durationSeconds);
         util::RandomStream flowRng = rng_.derive("flow@" + site.imsi());
-        auto sender = std::make_unique<ditg::ItgSend>(umtsSiteSim(index), *sendSocket.value(),
+        auto sender = std::make_unique<ditg::ItgSend>(sim_, *sendSocket.value(),
                                                       std::move(spec),
                                                       receiverSite.address(), 9001,
                                                       std::move(flowRng));
@@ -411,17 +246,9 @@ std::vector<FleetCbrRun> Fleet::runCbrOnSites(const std::vector<std::size_t>& in
     // Close the flow sockets: the receiver object dies with this scope
     // (its handler must not fire again), and the next wave re-binds
     // port 9001.
-    for (ActiveFlow& flow : flows) {
-        UmtsNodeSite& site = *umtsSites_[flow.siteIndex];
-        std::optional<sim::ShardObsScope> siteScope;
-        if (group_) siteScope.emplace(group_->shard(umtsShard_[flow.siteIndex]));
-        site.node().stack().closeUdp(flow.socket);
-    }
-    {
-        std::optional<sim::ShardObsScope> scope;
-        if (group_) scope.emplace(group_->shard(wiredShard_.front()));
-        receiverSite.node().stack().closeUdp(recvSocket.value());
-    }
+    for (ActiveFlow& flow : flows)
+        umtsSites_[flow.siteIndex]->node().stack().closeUdp(flow.socket);
+    receiverSite.node().stack().closeUdp(recvSocket.value());
     return runs;
 }
 
@@ -448,15 +275,10 @@ std::vector<FleetTcpRun> Fleet::runTcpOnSites(const std::vector<std::size_t>& in
     net::TcpOptions options;
     options.congestion = congestion;
 
-    // The receiver listens on the wired site's TcpHost. Constructed
-    // under the owning shard's observability scope, like the UDP wave.
-    auto receiver = [&] {
-        std::optional<sim::ShardObsScope> scope;
-        if (group_) scope.emplace(group_->shard(wiredShard_.front()));
-        return std::make_unique<ditg::ItgTcpRecv>(
-            umtsSiteSim(0), receiverSite.node().tcp(), kTcpProbePort,
-            /*sendAcks=*/true, receiverSite.firstSlice().xid, options);
-    }();
+    // The receiver listens on the wired site's TcpHost.
+    auto receiver = std::make_unique<ditg::ItgTcpRecv>(
+        sim_, receiverSite.node().tcp(), kTcpProbePort,
+        /*sendAcks=*/true, receiverSite.firstSlice().xid, options);
 
     struct ActiveFlow {
         std::size_t siteIndex;
@@ -467,8 +289,6 @@ std::vector<FleetTcpRun> Fleet::runTcpOnSites(const std::vector<std::size_t>& in
     flows.reserve(indices.size());
     for (const std::size_t index : indices) {
         UmtsNodeSite& site = *umtsSites_.at(index);
-        std::optional<sim::ShardObsScope> siteScope;
-        if (group_) siteScope.emplace(group_->shard(umtsShard_[index]));
         const auto flowId = std::uint16_t(10 + index);
         // A moderate probe CBR that fits inside the uplink DCH, so the
         // wave measures the stack (handshake, ACK clock, recovery)
@@ -478,7 +298,7 @@ std::vector<FleetTcpRun> Fleet::runTcpOnSites(const std::vector<std::size_t>& in
         spec.transport = ditg::FlowTransport::tcp;
         util::RandomStream flowRng = rng_.derive("tcpflow@" + site.imsi());
         auto sender = std::make_unique<ditg::ItgTcpSend>(
-            umtsSiteSim(index), site.node().tcp(), std::move(spec),
+            sim_, site.node().tcp(), std::move(spec),
             receiverSite.address(), kTcpProbePort, std::move(flowRng),
             site.umtsSlice().xid, options);
         flows.push_back(ActiveFlow{index, flowId, std::move(sender)});
@@ -507,33 +327,17 @@ std::vector<FleetTcpRun> Fleet::runTcpOnSites(const std::vector<std::size_t>& in
     // not leak into the next wave), let TIME-WAIT drain, then reap
     // every CLOSED connection on both ends so the next wave's
     // ephemeral binds see a clean table.
-    for (ActiveFlow& flow : flows) {
-        std::optional<sim::ShardObsScope> siteScope;
-        if (group_) siteScope.emplace(group_->shard(umtsShard_[flow.siteIndex]));
+    for (ActiveFlow& flow : flows)
         if (net::TcpConnection* conn = flow.sender->connection();
             conn && conn->state() != net::TcpState::closed &&
             conn->state() != net::TcpState::time_wait)
             conn->close();
-    }
     runUntil(now() + sim::seconds(3.0));  // 2 s TIME-WAIT + margin
-    {
-        // Stops listening on 9002 and aborts any connection a faulted
-        // peer left behind; the RSTs go out under the receiver shard's
-        // scope, like its construction.
-        std::optional<sim::ShardObsScope> scope;
-        if (group_) scope.emplace(group_->shard(wiredShard_.front()));
-        receiver.reset();
-    }
-    for (const std::size_t index : indices) {
-        std::optional<sim::ShardObsScope> siteScope;
-        if (group_) siteScope.emplace(group_->shard(umtsShard_[index]));
-        (void)umtsSites_[index]->node().tcp().reapClosed();
-    }
-    {
-        std::optional<sim::ShardObsScope> scope;
-        if (group_) scope.emplace(group_->shard(wiredShard_.front()));
-        (void)receiverSite.node().tcp().reapClosed();
-    }
+    // Stops listening on 9002 and aborts any connection a faulted peer
+    // left behind.
+    receiver.reset();
+    for (const std::size_t index : indices) (void)umtsSites_[index]->node().tcp().reapClosed();
+    (void)receiverSite.node().tcp().reapClosed();
     return runs;
 }
 

@@ -6,7 +6,6 @@
 
 #include "ditg/decoder.hpp"
 #include "scenario/site.hpp"
-#include "sim/shard.hpp"
 
 namespace onelab::scenario {
 
@@ -21,20 +20,6 @@ struct FleetConfig {
 
     sim::SimTime ethTransitOneWay = sim::millis(9);   ///< UE site <-> wired site
     sim::SimTime ggsnTransitOneWay = sim::millis(6);  ///< operator core <-> any site
-
-    /// 0 (default): the legacy single-simulator engine — byte-identical
-    /// to the pre-shard code path. N >= 1: the sharded engine; the
-    /// wired core, operator network and every modem live on shard 0,
-    /// site node stacks round-robin over the remaining shards (all on
-    /// shard 0 when N == 1). For a given seed the sharded engine's
-    /// output is byte-identical across every N >= 1 — but it is a
-    /// deliberately different timeline from the legacy engine, because
-    /// the TTY and Ethernet cut edges carry `shardCutLatency`.
-    std::size_t shards = 0;
-    /// Latency added on each cut edge (TTY byte transfers, Ethernet
-    /// access-link ingress toward the hub). Also the upper bound of
-    /// the group's conservative lookahead; must stay >= 1ns.
-    sim::SimTime shardCutLatency = sim::millis(2);
 
     std::vector<UmtsNodeSiteConfig> umtsSites;
     std::vector<WiredSiteConfig> wiredSites;
@@ -80,29 +65,11 @@ class Fleet {
     Fleet(const Fleet&) = delete;
     Fleet& operator=(const Fleet&) = delete;
 
-    /// The driver-facing simulator: the shared one in the serial
-    /// fleet, the core shard's in a sharded fleet (where the operator
-    /// network, modems and wired hub live — the right home for fault
-    /// injections and any externally scheduled event). Sharded
-    /// callers advance time through runUntil()/runFor(), never
-    /// through this simulator directly.
-    [[nodiscard]] sim::Simulator& sim() noexcept {
-        return group_ ? group_->shard(0).sim() : sim_;
-    }
-    /// nullptr in the serial fleet.
-    [[nodiscard]] sim::ShardGroup* shardGroup() noexcept { return group_.get(); }
-    [[nodiscard]] bool sharded() const noexcept { return group_ != nullptr; }
-    /// Fleet time (identical on every shard between advances).
-    [[nodiscard]] sim::SimTime now() const noexcept {
-        return group_ ? group_->now() : sim_.now();
-    }
-    /// Advance the whole fleet — every shard in lockstep when sharded.
-    void runUntil(sim::SimTime target) {
-        if (group_)
-            group_->runUntil(target);
-        else
-            sim_.runUntil(target);
-    }
+    /// The one simulator every site, the operator network and the
+    /// wired hub are scheduled on.
+    [[nodiscard]] sim::Simulator& sim() noexcept { return sim_; }
+    [[nodiscard]] sim::SimTime now() const noexcept { return sim_.now(); }
+    void runUntil(sim::SimTime target) { sim_.runUntil(target); }
     void runFor(sim::SimTime duration) { runUntil(now() + duration); }
     [[nodiscard]] net::Internet& internet() noexcept { return *internet_; }
     [[nodiscard]] umts::UmtsNetwork& operatorNetwork() noexcept { return *operator_; }
@@ -158,11 +125,7 @@ class Fleet {
     /// node. Hooks run in reverse registration order.
     void addTeardownHook(std::function<void()> hook);
 
-    /// Export merged telemetry for a sharded run: metrics summed by
-    /// name across the driver and every shard registry, traces
-    /// content-merged in stable order, flight rings as per-shard
-    /// fragment files (flight.shard<k>.json). Serial fleets delegate
-    /// to obs::writeTelemetry. Call between advances (barrier time).
+    /// Export the run's telemetry (obs::writeTelemetry).
     [[nodiscard]] util::Result<void> writeTelemetry(const std::string& directory);
 
   private:
@@ -171,27 +134,14 @@ class Fleet {
     std::vector<FleetTcpRun> runTcpOnSites(const std::vector<std::size_t>& indices,
                                            double durationSeconds,
                                            net::CcAlgorithm congestion);
-    /// Shard that owns fleet-wide site ordinal `ordinal` (UMTS sites
-    /// first, then wired sites) — partition is a pure function of the
-    /// ordinal and the shard count.
-    [[nodiscard]] std::size_t shardOfSite(std::size_t ordinal) const noexcept;
-    [[nodiscard]] sim::Simulator& umtsSiteSim(std::size_t index) noexcept {
-        return group_ ? group_->shard(umtsShard_[index]).sim() : sim_;
-    }
 
     FleetConfig config_;
     sim::Simulator sim_;
     util::RandomStream rng_;
-    /// Declared before the sites/Internet (destroyed after them): the
-    /// shard simulators must outlive everything scheduled on them.
-    /// ~Fleet stops the workers (shutdown()) before any member dies.
-    std::unique_ptr<sim::ShardGroup> group_;
     std::unique_ptr<net::Internet> internet_;
     std::unique_ptr<umts::UmtsNetwork> operator_;
     std::vector<std::unique_ptr<UmtsNodeSite>> umtsSites_;
     std::vector<std::unique_ptr<WiredSite>> wiredSites_;
-    std::vector<std::size_t> umtsShard_;   ///< shard index per UMTS site
-    std::vector<std::size_t> wiredShard_;  ///< shard index per wired site
     std::vector<std::function<void()>> teardownHooks_;
 };
 

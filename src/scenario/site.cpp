@@ -1,12 +1,9 @@
 #include "scenario/site.hpp"
 
-#include "sim/shard.hpp"
-
 namespace onelab::scenario {
 
 net::Interface& wireEthernet(pl::NodeOs& node, net::Internet& internet,
-                             net::Ipv4Address address, const EthernetParams& params,
-                             net::ShardPort port) {
+                             net::Ipv4Address address, const EthernetParams& params) {
     net::Interface& eth = node.stack().addInterface("eth0");
     eth.setAddress(address);
     eth.setUp(true);
@@ -14,7 +11,7 @@ net::Interface& wireEthernet(pl::NodeOs& node, net::Internet& internet,
     link.rateBitsPerSecond = params.accessRateBps;
     link.baseDelay = sim::micros(200);
     link.jitterStddevMillis = params.jitterStddevMillis;
-    internet.attach(eth, link, std::move(port));
+    internet.attach(eth, link);
     node.stack().router().table(net::PolicyRouter::kMainTable)
         .addRoute(net::Route{net::Prefix::any(), "eth0", std::nullopt, 0});
     return eth;
@@ -23,11 +20,10 @@ net::Interface& wireEthernet(pl::NodeOs& node, net::Internet& internet,
 // --------------------------------------------------------- wired site
 
 WiredSite::WiredSite(sim::Simulator& simulator, net::Internet& internet,
-                     WiredSiteConfig config, net::ShardPort ethPort)
+                     WiredSiteConfig config)
     : config_(std::move(config)) {
     node_ = std::make_unique<pl::NodeOs>(simulator, config_.hostname);
-    eth_ = &wireEthernet(*node_, internet, config_.address, config_.ethernet,
-                         std::move(ethPort));
+    eth_ = &wireEthernet(*node_, internet, config_.address, config_.ethernet);
     for (const std::string& name : config_.sliceNames)
         slices_.push_back(&node_->createSlice(name));
 }
@@ -42,23 +38,10 @@ pl::Slice* WiredSite::slice(const std::string& name) noexcept {
 
 UmtsNodeSite::UmtsNodeSite(sim::Simulator& simulator, net::Internet& internet,
                            umts::UmtsNetwork& operatorNetwork,
-                           const util::RandomStream& rootRng, UmtsNodeSiteConfig config,
-                           SiteShardSlot slot)
-    : config_(std::move(config)),
-      slot_(std::move(slot)),
-      pumpNow_([&simulator] { return simulator.now(); }),
-      pumpRunUntil_([&simulator](sim::SimTime until) { simulator.runUntil(until); }),
-      sim_(simulator) {
-    const bool sharded = slot_.siteShard != nullptr;
+                           const util::RandomStream& rootRng, UmtsNodeSiteConfig config)
+    : config_(std::move(config)), sim_(simulator) {
     node_ = std::make_unique<pl::NodeOs>(simulator, config_.hostname);
-    net::ShardPort ethPort;
-    if (sharded) {
-        ethPort.sim = &sim_;
-        ethPort.postIn = slot_.postToSite;
-        ethPort.postToHub = slot_.postToCore;
-    }
-    eth_ = &wireEthernet(*node_, internet, config_.ethAddress, config_.ethernet,
-                         std::move(ethPort));
+    eth_ = &wireEthernet(*node_, internet, config_.ethAddress, config_.ethernet);
 
     // --- slices ---
     umtsSlice_ = &node_->createSlice(config_.umtsSliceName);
@@ -66,36 +49,21 @@ UmtsNodeSite::UmtsNodeSite(sim::Simulator& simulator, net::Internet& internet,
         extraSlices_.push_back(&node_->createSlice(name));
 
     // --- the UMTS card on its TTY (/dev/ttyUSB0 in the paper) ---
-    // Sharded: the host side (A) stays on this shard, the card side
-    // (B) lives on the core shard with the modem, which talks to the
-    // operator network synchronously and must share its simulator.
-    if (sharded)
-        tty_ = std::make_unique<sim::Pipe>(sim::Pipe::CrossShard{
-            &sim_, &slot_.coreShard->sim(), slot_.postToSite, slot_.postToCore,
-            slot_.cutLatency});
-    else
-        tty_ = std::make_unique<sim::Pipe>(simulator);
+    tty_ = std::make_unique<sim::Pipe>(simulator);
     modem::ModemConfig modemConfig;
     modemConfig.pin = config_.simPin;
     modemConfig.imsi = config_.imsi;
     std::vector<std::string> cardInit;
-    {
-        // The modem's metrics, traces and log lines belong to the
-        // shard whose thread will drive it.
-        std::optional<sim::ShardObsScope> coreScope;
-        if (sharded) coreScope.emplace(*slot_.coreShard);
-        sim::Simulator& modemSim = sharded ? slot_.coreShard->sim() : simulator;
-        if (config_.card == CardKind::globetrotter) {
-            modem_ = std::make_unique<modem::GlobetrotterModem>(modemSim, &operatorNetwork,
-                                                                modemConfig);
-            cardInit = {"AT_OPSYS=3"};  // prefer 3G
-        } else {
-            modem_ = std::make_unique<modem::HuaweiE620Modem>(modemSim, &operatorNetwork,
-                                                              modemConfig);
-            cardInit = {"AT^CURC=0"};  // silence ^RSSI chatter
-        }
-        modem_->attachTty(tty_->b());
+    if (config_.card == CardKind::globetrotter) {
+        modem_ = std::make_unique<modem::GlobetrotterModem>(simulator, &operatorNetwork,
+                                                            modemConfig);
+        cardInit = {"AT_OPSYS=3"};  // prefer 3G
+    } else {
+        modem_ = std::make_unique<modem::HuaweiE620Modem>(simulator, &operatorNetwork,
+                                                          modemConfig);
+        cardInit = {"AT^CURC=0"};  // silence ^RSSI chatter
     }
+    modem_->attachTty(tty_->b());
 
     // --- the umts backend (root context) + vsys wiring ---
     umtsctl::UmtsBackendConfig backendConfig;
@@ -113,10 +81,6 @@ UmtsNodeSite::UmtsNodeSite(sim::Simulator& simulator, net::Internet& internet,
     backendConfig.dialer.password = "onelab";
     backendConfig.dialer.ccp.enable = config_.dialerCompression;
     backendConfig.dialer.seed = rootRng.derive(config_.dialerSeedTag).seed();
-    // Sharded fleets pin LCP magic entropy to the dialer's own seed so
-    // frame bytes are identical for every shard count; serial runs
-    // keep the legacy draw-order counter and its goldens.
-    if (sharded) backendConfig.dialer.lcpEntropySeed = backendConfig.dialer.seed;
     if (config_.supervise.enable) {
         // The supervisor needs the keepalive as its health signal;
         // adaptive mode keeps a loaded link free of echo traffic (the
@@ -138,21 +102,8 @@ UmtsNodeSite::UmtsNodeSite(sim::Simulator& simulator, net::Internet& internet,
             rootRng.derive(config_.dialerSeedTag + "/redial").seed();
     backend_ = std::make_unique<umtsctl::UmtsBackend>(simulator, *node_, tty_->a(),
                                                       backendConfig);
-    if (sharded) {
-        // DTR and carrier-loss are out-of-band wires of the same
-        // physical cable as the TTY: they cross the cut with the same
-        // latency, as mailbox events.
-        backend_->dropDtr = [this] {
-            slot_.postToCore(sim_.now() + slot_.cutLatency, [this] { modem_->dropDtr(); });
-        };
-        modem_->onCarrierLost = [this] {
-            slot_.postToSite(slot_.coreShard->sim().now() + slot_.cutLatency,
-                             [this] { backend_->notifyCarrierLost(); });
-        };
-    } else {
-        backend_->dropDtr = [this] { modem_->dropDtr(); };
-        modem_->onCarrierLost = [this] { backend_->notifyCarrierLost(); };
-    }
+    backend_->dropDtr = [this] { modem_->dropDtr(); };
+    modem_->onCarrierLost = [this] { backend_->notifyCarrierLost(); };
     backend_->installVsys();
     node_->vsys().allow("umts", config_.umtsSliceName);
     // Admission control at the trust boundary: every request line a
@@ -169,22 +120,8 @@ UmtsNodeSite::UmtsNodeSite(sim::Simulator& simulator, net::Internet& internet,
         if (supConfig.name == defaults.name) supConfig.name = config_.imsi;
         if (supConfig.seed == defaults.seed)
             supConfig.seed = rootRng.derive(config_.dialerSeedTag + "/supervise").seed();
-        supervise::ModemControl modemControl;
-        if (sharded) {
-            modemControl.hardReset = [this] {
-                slot_.postToCore(sim_.now() + slot_.cutLatency,
-                                 [this] { modem_->hardReset(); });
-            };
-            modemControl.reattach = [this] {
-                slot_.postToCore(sim_.now() + slot_.cutLatency,
-                                 [this] { modem_->reattach(); });
-            };
-        } else {
-            modemControl.hardReset = [this] { modem_->hardReset(); };
-            modemControl.reattach = [this] { modem_->reattach(); };
-        }
         supervisor_ = std::make_unique<supervise::LinkSupervisor>(
-            simulator, *backend_, std::move(modemControl), tty_->a(), supConfig);
+            simulator, *backend_, *modem_, tty_->a(), supConfig);
         // Surface ladder state through `umts status` so a slice sees
         // what the supervisor is doing to its link.
         backend_->statusExtra = [this]() {
@@ -212,25 +149,12 @@ pl::Slice* UmtsNodeSite::slice(const std::string& name) noexcept {
     return nullptr;
 }
 
-void UmtsNodeSite::setDriverPump(std::function<sim::SimTime()> now,
-                                 std::function<void(sim::SimTime)> runUntil) {
-    pumpNow_ = std::move(now);
-    pumpRunUntil_ = std::move(runUntil);
-}
-
 util::Result<umtsctl::UmtsReport> UmtsNodeSite::startUmts(sim::SimTime timeout) {
     std::optional<util::Result<umtsctl::UmtsReport>> outcome;
-    {
-        // The frontend's synchronous prefix runs on the driver thread:
-        // any lazy metric registration must land in this site's shard
-        // registry, where the site's worker will later update it.
-        std::optional<sim::ShardObsScope> scope;
-        if (slot_.siteShard) scope.emplace(*slot_.siteShard);
-        frontend_->start(
-            [&](util::Result<umtsctl::UmtsReport> result) { outcome = std::move(result); });
-    }
-    const sim::SimTime deadline = pumpNow_() + timeout;
-    while (!outcome && pumpNow_() < deadline) pumpRunUntil_(pumpNow_() + sim::millis(100));
+    frontend_->start(
+        [&](util::Result<umtsctl::UmtsReport> result) { outcome = std::move(result); });
+    const sim::SimTime deadline = sim_.now() + timeout;
+    while (!outcome && sim_.now() < deadline) sim_.runUntil(sim_.now() + sim::millis(100));
     if (!outcome) return util::err(util::Error::Code::timeout, "umts start timed out");
     return std::move(*outcome);
 }
@@ -238,27 +162,19 @@ util::Result<umtsctl::UmtsReport> UmtsNodeSite::startUmts(sim::SimTime timeout) 
 util::Result<void> UmtsNodeSite::addUmtsDestination(const std::string& destination,
                                                     sim::SimTime timeout) {
     std::optional<util::Result<void>> outcome;
-    {
-        std::optional<sim::ShardObsScope> scope;
-        if (slot_.siteShard) scope.emplace(*slot_.siteShard);
-        frontend_->addDestination(
-            destination, [&](util::Result<void> result) { outcome = std::move(result); });
-    }
-    const sim::SimTime deadline = pumpNow_() + timeout;
-    while (!outcome && pumpNow_() < deadline) pumpRunUntil_(pumpNow_() + sim::millis(10));
+    frontend_->addDestination(destination,
+                              [&](util::Result<void> result) { outcome = std::move(result); });
+    const sim::SimTime deadline = sim_.now() + timeout;
+    while (!outcome && sim_.now() < deadline) sim_.runUntil(sim_.now() + sim::millis(10));
     if (!outcome) return util::err(util::Error::Code::timeout, "add destination timed out");
     return std::move(*outcome);
 }
 
 util::Result<void> UmtsNodeSite::stopUmts(sim::SimTime timeout) {
     std::optional<util::Result<void>> outcome;
-    {
-        std::optional<sim::ShardObsScope> scope;
-        if (slot_.siteShard) scope.emplace(*slot_.siteShard);
-        frontend_->stop([&](util::Result<void> result) { outcome = std::move(result); });
-    }
-    const sim::SimTime deadline = pumpNow_() + timeout;
-    while (!outcome && pumpNow_() < deadline) pumpRunUntil_(pumpNow_() + sim::millis(10));
+    frontend_->stop([&](util::Result<void> result) { outcome = std::move(result); });
+    const sim::SimTime deadline = sim_.now() + timeout;
+    while (!outcome && sim_.now() < deadline) sim_.runUntil(sim_.now() + sim::millis(10));
     if (!outcome) return util::err(util::Error::Code::timeout, "umts stop timed out");
     return std::move(*outcome);
 }

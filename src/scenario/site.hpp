@@ -13,30 +13,10 @@
 #include "umtsctl/backend.hpp"
 #include "umtsctl/frontend.hpp"
 
-namespace onelab::sim {
-class SimShard;
-}
-
 namespace onelab::scenario {
 
 /// Which UMTS card sits in a UMTS-equipped node.
 enum class CardKind { globetrotter, huawei_e620 };
-
-/// Shard placement for a site in a sharded fleet: the node stack
-/// (NodeOs, backend, frontend, supervisor, host pppd) lives on
-/// `siteShard`; the modem — like the operator network and the wired
-/// Internet hub it talks to synchronously — lives on `coreShard`.
-/// The TTY pipe and the Ethernet access link are the only cut edges,
-/// each paying `cutLatency` through the mailbox pair. All fields left
-/// default (the serial fleet) wire everything onto one simulator,
-/// byte-identical to the pre-shard code path.
-struct SiteShardSlot {
-    sim::SimShard* siteShard = nullptr;
-    sim::SimShard* coreShard = nullptr;
-    sim::ShardPost postToSite;  ///< core -> site mailbox
-    sim::ShardPost postToCore;  ///< site -> core mailbox
-    sim::SimTime cutLatency{0};
-};
 
 /// Ethernet access-link parameters shared by both site kinds.
 struct EthernetParams {
@@ -58,11 +38,7 @@ struct WiredSiteConfig {
 /// Internet with a default route over eth0 and its slices created.
 class WiredSite {
   public:
-    /// `ethPort` non-default makes the eth access link a shard cut
-    /// (the node lives on `simulator`'s shard, the Internet hub on
-    /// the core shard).
-    WiredSite(sim::Simulator& simulator, net::Internet& internet, WiredSiteConfig config,
-              net::ShardPort ethPort = {});
+    WiredSite(sim::Simulator& simulator, net::Internet& internet, WiredSiteConfig config);
 
     WiredSite(const WiredSite&) = delete;
     WiredSite& operator=(const WiredSite&) = delete;
@@ -137,23 +113,15 @@ struct UmtsNodeSiteConfig {
 /// pieces the monolithic testbed used to wire by hand.
 class UmtsNodeSite {
   public:
-    /// `simulator` is the site's own simulator (the shared fleet
-    /// simulator in the serial fleet; the site shard's in a sharded
-    /// one — in which case `slot` carries the core-shard wiring).
     UmtsNodeSite(sim::Simulator& simulator, net::Internet& internet,
                  umts::UmtsNetwork& operatorNetwork, const util::RandomStream& rootRng,
-                 UmtsNodeSiteConfig config, SiteShardSlot slot = {});
+                 UmtsNodeSiteConfig config);
     ~UmtsNodeSite();
 
     UmtsNodeSite(const UmtsNodeSite&) = delete;
     UmtsNodeSite& operator=(const UmtsNodeSite&) = delete;
 
     [[nodiscard]] pl::NodeOs& node() noexcept { return *node_; }
-    /// The site's own simulator (the site shard's in a sharded fleet).
-    /// Anything that pokes the node stack or the host end of the TTY
-    /// from outside — e.g. an adversary personality — must schedule
-    /// its events here, not on the fleet's core simulator.
-    [[nodiscard]] sim::Simulator& sim() noexcept { return sim_; }
     [[nodiscard]] net::Interface& eth() noexcept { return *eth_; }
     [[nodiscard]] net::Ipv4Address ethAddress() const noexcept { return config_.ethAddress; }
     [[nodiscard]] const std::string& hostname() const noexcept { return config_.hostname; }
@@ -179,17 +147,8 @@ class UmtsNodeSite {
                                           sim::SimTime timeout = sim::seconds(5.0));
     util::Result<void> stopUmts(sim::SimTime timeout = sim::seconds(10.0));
 
-    /// Replace the synchronous drivers' pump: a sharded fleet must
-    /// advance the whole shard group, not this site's simulator alone.
-    /// Defaults pump `simulator` directly.
-    void setDriverPump(std::function<sim::SimTime()> now,
-                       std::function<void(sim::SimTime)> runUntil);
-
   private:
     UmtsNodeSiteConfig config_;
-    SiteShardSlot slot_;
-    std::function<sim::SimTime()> pumpNow_;
-    std::function<void(sim::SimTime)> pumpRunUntil_;
     sim::Simulator& sim_;
     std::unique_ptr<pl::NodeOs> node_;
     net::Interface* eth_ = nullptr;
@@ -206,10 +165,8 @@ class UmtsNodeSite {
 };
 
 /// Wire a node's eth0 into the Internet with a default route — shared
-/// by both site kinds. A non-default `port` marks the access link as
-/// a shard cut (the node is on a different shard than the hub).
+/// by both site kinds.
 net::Interface& wireEthernet(pl::NodeOs& node, net::Internet& internet,
-                             net::Ipv4Address address, const EthernetParams& params,
-                             net::ShardPort port = {});
+                             net::Ipv4Address address, const EthernetParams& params);
 
 }  // namespace onelab::scenario

@@ -17,18 +17,6 @@ class Pipe::End final : public ByteChannel {
           droppedNoHandler_(
               &obs::Registry::instance().counter("sim.pipe.dropped_no_handler")) {}
 
-    /// Cross-shard end: deliveries toward the peer leave through
-    /// `postToPeer` with `cutLatency` added. The dropped-bytes counter
-    /// is resolved lazily on the owning thread (the drop path is cold)
-    /// so it lands in the owner shard's registry.
-    End(Simulator& simulator, SimTime latency, ShardPost postToPeer, SimTime cutLatency)
-        : sim_(simulator),
-          latency_(latency),
-          alive_(std::make_shared<bool>(true)),
-          postToPeer_(std::move(postToPeer)),
-          cutLatency_(cutLatency),
-          droppedNoHandler_(nullptr) {}
-
     ~End() override { *alive_ = false; }
 
     void connect(End* peer) { peer_ = peer; }
@@ -36,10 +24,6 @@ class Pipe::End final : public ByteChannel {
     void write(util::ByteView data) override {
         obs::ProfileScope scope(obs::ProfileCategory::pipe);
         if (!peer_) return;
-        if (postToPeer_) {
-            writeAcrossShards(data);
-            return;
-        }
         if (!peer_->handler_ && !peer_->sharedHandler_) {
             // The peer never installed a receive callback: the bytes
             // would be dropped at delivery time anyway, so skip the
@@ -99,15 +83,10 @@ class Pipe::End final : public ByteChannel {
     /// Zero-copy write: the delivery event holds a reference to the
     /// writer's slice instead of a pooled copy. Falls back to the
     /// copying path when the bytes must be privately owned (corruption
-    /// mutates them) or must not share a core across threads
-    /// (cross-shard cut).
+    /// mutates them).
     void write(const util::SharedBytes& data) override {
         obs::ProfileScope scope(obs::ProfileCategory::pipe);
         if (!peer_) return;
-        if (postToPeer_) {
-            writeAcrossShards(data.view());
-            return;
-        }
         if (corruption_ && corruptProbability_ > 0.0) {
             write(data.view());
             return;
@@ -143,67 +122,8 @@ class Pipe::End final : public ByteChannel {
         handler_ = nullptr;
     }
 
-    /// Peer-bound write over a shard cut. Differences from the local
-    /// path, each forced by thread ownership: the peer's handler is
-    /// not peeked (another shard's state), the copy is a plain heap
-    /// buffer (the pool is shard-local and single-threaded), and the
-    /// delivery closure runs on the peer's shard — where it may read
-    /// the peer's members and resolve the drop counter thread-locally.
-    void writeAcrossShards(util::ByteView data) {
-        util::Bytes copy{data.begin(), data.end()};
-        if (corruption_ && corruptProbability_ > 0.0) {
-            for (auto& byte : copy) {
-                if (!corruption_->chance(corruptProbability_)) continue;
-                byte ^= std::uint8_t(corruption_->uniformInt(1, 255));
-                ++corruptedBytes_;
-            }
-        }
-        End* peer = peer_;
-        std::weak_ptr<bool> peerAlive = peer->alive_;
-        const SimTime departure = sim_.now() + latency_ + cutLatency_;
-        const SimTime delivery = std::max(departure, stallUntil_);
-        postToPeer_(delivery, [peer, peerAlive, buffer = std::move(copy)]() mutable {
-            const auto alive = peerAlive.lock();
-            if (!alive || !*alive) return;
-            if (peer->sharedHandler_) {
-                // The private heap copy can be adopted outright — it
-                // was made for this delivery and lives on the peer's
-                // shard, so the non-atomic refcount is safe.
-                const auto handler = peer->sharedHandler_;
-                handler(util::SharedBytes::wrap(std::move(buffer)));
-                return;
-            }
-            const auto handler = peer->handler_;
-            if (handler) {
-                handler(buffer);
-                return;
-            }
-            obs::Registry::instance()
-                .counter("sim.pipe.dropped_no_handler")
-                .inc(buffer.size());
-        });
-    }
-
     void stallFor(SimTime duration) {
         stallUntil_ = std::max(stallUntil_, sim_.now() + duration);
-    }
-
-    /// Relay a fault call to the peer end across the cut: the action
-    /// lands on the peer's shard one cut latency later, as any byte
-    /// would. Call from this end's owning shard.
-    void relayToPeer(std::function<void(End&)> action) {
-        End* peer = peer_;
-        std::weak_ptr<bool> peerAlive = peer->alive_;
-        postToPeer_(sim_.now() + cutLatency_,
-                    [peer, peerAlive, action = std::move(action)] {
-                        const auto alive = peerAlive.lock();
-                        if (!alive || !*alive) return;
-                        action(*peer);
-                    });
-    }
-
-    [[nodiscard]] bool crossShard() const noexcept {
-        return static_cast<bool>(postToPeer_);
     }
 
     void setCorruption(double probability, std::uint64_t seed) {
@@ -222,8 +142,6 @@ class Pipe::End final : public ByteChannel {
     Simulator& sim_;
     SimTime latency_;
     std::shared_ptr<bool> alive_;
-    ShardPost postToPeer_;  ///< set on cross-shard ends only
-    SimTime cutLatency_{0};
     End* peer_ = nullptr;
     std::function<void(util::ByteView)> handler_;
     std::function<void(util::SharedBytes)> sharedHandler_;
@@ -241,39 +159,21 @@ Pipe::Pipe(Simulator& simulator, SimTime latency)
     b_->connect(a_.get());
 }
 
-Pipe::Pipe(const CrossShard& cross, SimTime latency)
-    : a_(std::make_unique<End>(*cross.simA, latency, cross.postToB, cross.cutLatency)),
-      b_(std::make_unique<End>(*cross.simB, latency, cross.postToA, cross.cutLatency)) {
-    a_->connect(b_.get());
-    b_->connect(a_.get());
-}
-
 Pipe::~Pipe() = default;
 
 ByteChannel& Pipe::a() noexcept { return *a_; }
 ByteChannel& Pipe::b() noexcept { return *b_; }
 
 void Pipe::injectStall(SimTime duration) {
+    a_->stallFor(duration);
     b_->stallFor(duration);
-    if (b_->crossShard())
-        // End A stalls when the relay lands, one cut latency later —
-        // a wedge observed from the far side of the wire.
-        b_->relayToPeer([duration](End& a) { a.stallFor(duration); });
-    else
-        a_->stallFor(duration);
 }
 
 void Pipe::setCorruption(double byteFlipProbability, std::uint64_t seed) {
     // Derive distinct per-direction seeds so the two ends do not mirror
     // each other's draws.
-    const std::uint64_t seedA = seed * 2654435761u + 1;
+    a_->setCorruption(byteFlipProbability, seed * 2654435761u + 1);
     b_->setCorruption(byteFlipProbability, seed * 2654435761u + 2);
-    if (b_->crossShard())
-        b_->relayToPeer([byteFlipProbability, seedA](End& a) {
-            a.setCorruption(byteFlipProbability, seedA);
-        });
-    else
-        a_->setCorruption(byteFlipProbability, seedA);
 }
 
 std::uint64_t Pipe::corruptedBytes() const noexcept {

@@ -3,7 +3,6 @@
 #include <functional>
 #include <memory>
 
-#include "sim/mailbox.hpp"
 #include "sim/simulator.hpp"
 #include "util/bytes.hpp"
 #include "util/shared_bytes.hpp"
@@ -52,20 +51,6 @@ class Pipe {
     /// Create a connected pair. `latency` is the per-write transfer
     /// delay (a local TTY is effectively instantaneous; leave 0).
     Pipe(Simulator& simulator, SimTime latency = SimTime{0});
-
-    /// Cross-shard wiring: end A lives on `simA`'s shard, end B on
-    /// `simB`'s. Writes cross the cut through the post functions with
-    /// `cutLatency` added on top of `latency`, carried in plain heap
-    /// buffers (the per-simulator pools are shard-local), and without
-    /// the peer-handler peek (the peer belongs to another thread).
-    struct CrossShard {
-        Simulator* simA = nullptr;
-        Simulator* simB = nullptr;
-        ShardPost postToA;  ///< deliver into A's shard
-        ShardPost postToB;  ///< deliver into B's shard
-        SimTime cutLatency{0};
-    };
-    Pipe(const CrossShard& cross, SimTime latency = SimTime{0});
     ~Pipe();
 
     Pipe(const Pipe&) = delete;
@@ -79,19 +64,14 @@ class Pipe {
     /// Fault hook: hold all deliveries (both directions) written from
     /// now until `duration` has elapsed; held bytes arrive, in order,
     /// once the stall ends. Models a wedged serial line / driver stall.
-    /// Cross-shard: call from end B's owning shard (the fault
-    /// injector's side); end A's stall starts one cut latency later,
-    /// carried across as a mailbox event.
     void injectStall(SimTime duration);
 
     /// Fault hook: flip each transferred byte with the given
     /// probability, drawing from a stream seeded deterministically.
-    /// Probability 0 (the default) disables corruption. Cross-shard:
-    /// call from end B's owning shard, like injectStall.
+    /// Probability 0 (the default) disables corruption.
     void setCorruption(double byteFlipProbability, std::uint64_t seed);
 
     /// Total bytes corrupted by setCorruption since construction.
-    /// Cross-shard: read at barriers/teardown only (sums both ends).
     [[nodiscard]] std::uint64_t corruptedBytes() const noexcept;
 
   private:

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -92,24 +91,14 @@ class Simulator {
     [[nodiscard]] std::size_t pendingEvents() const noexcept { return heap_.size(); }
     [[nodiscard]] std::uint64_t executedEvents() const noexcept { return executed_; }
 
-    /// Timestamp of the earliest pending event (the heap root), or
-    /// nullopt when the queue is empty. Used by the shard scheduler to
-    /// compute conservative lookahead windows without popping.
-    [[nodiscard]] std::optional<SimTime> nextEventTime() const noexcept {
-        if (heap_.empty()) return std::nullopt;
-        return heap_.front().when;
-    }
-
     /// Buffer freelist shared by this simulator's datapath (pipe
     /// writes, RLC chunks); single-threaded like the simulator itself.
     [[nodiscard]] BufferPool& bufferPool() noexcept { return pool_; }
 
     /// Register a component-owned pool (e.g. a pppd's frame pool) so
     /// its registry mirrors flush together with this simulator's own
-    /// pool at run-loop exit. Components keep their pools private so
-    /// recycling behaviour follows the component, not shard placement
-    /// — that keeps the sim.pool.* totals byte-identical across shard
-    /// layouts. The owner must detach before the pool is destroyed.
+    /// pool at run-loop exit. The owner must detach before the pool is
+    /// destroyed.
     void attachPool(BufferPool* pool) { attachedPools_.push_back(pool); }
     void detachPool(BufferPool* pool) noexcept {
         std::erase(attachedPools_, pool);

@@ -54,17 +54,9 @@ const char* healthName(Health health) noexcept {
 LinkSupervisor::LinkSupervisor(sim::Simulator& simulator, umtsctl::UmtsBackend& backend,
                                modem::UmtsModem& modem, sim::ByteChannel& tty,
                                SupervisorConfig config)
-    : LinkSupervisor(simulator, backend,
-                     ModemControl{[&modem] { modem.hardReset(); },
-                                  [&modem] { modem.reattach(); }},
-                     tty, std::move(config)) {}
-
-LinkSupervisor::LinkSupervisor(sim::Simulator& simulator, umtsctl::UmtsBackend& backend,
-                               ModemControl modem, sim::ByteChannel& tty,
-                               SupervisorConfig config)
     : sim_(simulator),
       backend_(backend),
-      modem_(std::move(modem)),
+      modem_(modem),
       tty_(tty),
       config_(std::move(config)),
       log_("supervise." + config_.name),

@@ -22,16 +22,6 @@ enum class Health : std::uint8_t {
 
 [[nodiscard]] const char* healthName(Health health) noexcept;
 
-/// The two modem recovery verbs the ladder uses, behind an
-/// indirection: in the sharded fleet the modem lives on the core
-/// shard, so the site wires these to cross-shard posts instead of
-/// direct calls. Both verbs are fire-and-forget — deferring them one
-/// cut latency changes timing, never semantics.
-struct ModemControl {
-    std::function<void()> hardReset;
-    std::function<void()> reattach;
-};
-
 struct SupervisorConfig {
     std::string name = "supervisor";  ///< log/trace tag (sites use the IMSI)
     std::uint64_t seed = 1;           ///< ladder backoff jitter stream
@@ -80,9 +70,6 @@ struct SupervisorConfig {
 class LinkSupervisor {
   public:
     LinkSupervisor(sim::Simulator& simulator, umtsctl::UmtsBackend& backend,
-                   ModemControl modem, sim::ByteChannel& tty, SupervisorConfig config);
-    /// Convenience wiring for a modem on the same simulator.
-    LinkSupervisor(sim::Simulator& simulator, umtsctl::UmtsBackend& backend,
                    modem::UmtsModem& modem, sim::ByteChannel& tty, SupervisorConfig config);
     ~LinkSupervisor();
 
@@ -128,7 +115,7 @@ class LinkSupervisor {
 
     sim::Simulator& sim_;
     umtsctl::UmtsBackend& backend_;
-    ModemControl modem_;
+    modem::UmtsModem& modem_;
     sim::ByteChannel& tty_;
     SupervisorConfig config_;
     util::Logger log_;

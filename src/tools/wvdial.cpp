@@ -60,8 +60,6 @@ void WvDial::dial(std::function<void(util::Result<ppp::IpcpResult>)> done) {
                                         pppConfig.echoFailureLimit = config_.lcpEchoFailure;
                                         pppConfig.echoAdaptive = config_.lcpEchoAdaptive;
                                         pppConfig.seed = config_.seed;
-                                        pppConfig.lcp.entropySeed =
-                                            config_.lcpEntropySeed;
                                         pppd_ = std::make_unique<ppp::Pppd>(sim_, pppConfig);
                                         pppd_->attach(tty_);
                                         pppd_->onNetworkUp =

@@ -27,10 +27,6 @@ struct WvDialConfig {
     sim::SimTime commandTimeout = sim::seconds(5.0);
     sim::SimTime connectTimeout = sim::seconds(30.0);
     std::uint64_t seed = 7;
-    /// Nonzero: pppd's LCP magic entropy derives from this seed
-    /// instead of the process-global counter (see LcpConfig). Sharded
-    /// fleets set it so frame bytes don't depend on thread layout.
-    std::uint64_t lcpEntropySeed = 0;
 };
 
 /// Dialer in the mould of `wvdial` (§2.3): defines the PDP context,

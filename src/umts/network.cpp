@@ -467,7 +467,6 @@ void UmtsNetwork::installSession(UmtsSession& session) {
     config.ccp.enable = true;  // GGSN offers compression; UE may reject
     config.enableEcho = false;  // GGSNs do not run aggressive LCP echo
     config.seed = rng_.derive("pppd-" + std::to_string(session.sessionId_)).seed();
-    if (profile_.deterministicLcpMagic) config.lcp.entropySeed = config.seed;
     session.ggsnPppd_ = std::make_unique<ppp::Pppd>(sim_, config);
     session.ggsnPppd_->attach(*session.netChannel_);
 

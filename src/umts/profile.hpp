@@ -140,13 +140,6 @@ struct OperatorProfile {
     /// headroom exactly as before.
     bool cellFairnessClamp = true;
 
-    /// Derive each GGSN-side pppd's LCP magic entropy from its own
-    /// session seed instead of the process-global counter (see
-    /// LcpConfig::entropySeed). Sharded fleets turn this on so frame
-    /// bytes never depend on which worker thread ran the bring-up;
-    /// serial runs keep the legacy counter and its goldens.
-    bool deterministicLcpMagic = false;
-
     // --- subscriber authentication (PPP level) ---
     ppp::AuthProtocol authProtocol = ppp::AuthProtocol::chap_md5;
     /// Commercial operators typically accept any credentials on the

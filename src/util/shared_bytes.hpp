@@ -22,9 +22,10 @@ class SharedBytesRecycler {
 };
 
 /// Refcounted heap buffer underlying SharedBytes slices. The refcount
-/// is deliberately non-atomic: a slice never crosses shard threads
-/// (cross-shard pipes copy into plain per-shard buffers instead), so
-/// every ref/unref happens on the owning shard.
+/// is deliberately non-atomic: one thread drives a simulation run and
+/// a slice never leaves the run that made it (parallel sweep workers
+/// each own their simulator and pools), so every ref/unref happens on
+/// one thread.
 class SharedBytesCore {
   public:
     Bytes data;

@@ -18,9 +18,7 @@
 namespace onelab::bench {
 namespace {
 
-// The exact parameters of the PR-smoke run: seed 42, 15 s per point,
-// legacy serial engine. (The sharded engine has its own deterministic
-// timeline — pinned against itself below, not against this digest.)
+// The exact parameters of the PR-smoke run: seed 42, 15 s per point.
 constexpr std::uint64_t kGoldenSeed = 42;
 constexpr double kGoldenDuration = 15.0;
 constexpr const char* kGoldenDigest = "07aca070590a3e353216d17eeb42fada";
@@ -39,23 +37,11 @@ std::string md5Hex(const std::string& text) {
 }
 
 TEST(TcpGolden, CcSweepCsvReproduces) {
-    const std::string csv =
-        ccSweepCsv(runCcSweep(kGoldenSeed, kGoldenDuration, /*shards=*/0));
+    const std::string csv = ccSweepCsv(runCcSweep(kGoldenSeed, kGoldenDuration));
     EXPECT_EQ(md5Hex(csv), kGoldenDigest)
         << "TCP CC sweep CSV drifted (" << csv.size() << " bytes):\n"
         << csv << "If the change is intentional, update kGoldenDigest "
         << "with the actual digest.";
-}
-
-// The sharded engine's contract: every shard count N >= 1 produces the
-// SAME timeline, so the whole grid — handshakes, losses, RTOs, the lot
-// — must come out byte-identical between one shard and two.
-TEST(TcpGolden, ShardedSweepIsByteIdenticalAcrossShardCounts) {
-    const std::string oneShard =
-        ccSweepCsv(runCcSweep(kGoldenSeed, kGoldenDuration, /*shards=*/1));
-    const std::string twoShards =
-        ccSweepCsv(runCcSweep(kGoldenSeed, kGoldenDuration, /*shards=*/2));
-    EXPECT_EQ(oneShard, twoShards);
 }
 
 }  // namespace

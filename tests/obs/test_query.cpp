@@ -98,27 +98,6 @@ TEST(ObsqGolden, MergeAssignsOneLanePerInput) {
     EXPECT_DOUBLE_EQ(events->array().back().numberOr("tid", 0.0), 2.0);
 }
 
-// Per-shard fragment merges must be independent of fragment order:
-// the sharded fleet writes one trace.json already merged, but ad-hoc
-// post-mortems merge flight.shard<k>.json (and re-merge traces) with
-// obsq, and the partition must never leak into the merged artefact.
-TEST(ObsqGolden, StableTraceMergeIsFragmentOrderIndependent) {
-    const util::JsonValue shard0 = fixture("trace.shard0.json");
-    const util::JsonValue shard1 = fixture("trace.shard1.json");
-    const std::string merged = mergeTracesStable({shard0, shard1});
-    EXPECT_EQ(merged, mergeTracesStable({shard1, shard0}));
-    expectGolden("golden_merge_trace.txt", merged);
-}
-
-TEST(ObsqGolden, FlightFragmentMergeSortsAndSumsDropped) {
-    const util::JsonValue shard0 = fixture("flight.shard0.json");
-    const util::JsonValue shard1 = fixture("flight.shard1.json");
-    const std::string merged = mergeFlights({shard0, shard1});
-    EXPECT_EQ(merged, mergeFlights({shard1, shard0}));
-    EXPECT_NE(merged.find("\"dropped\":3"), std::string::npos) << merged;
-    expectGolden("golden_merge_flight.txt", merged);
-}
-
 TEST(ObsqGolden, SelfCheckPasses) {
     EXPECT_EQ(selfCheck(), std::string{});
 }

@@ -71,7 +71,8 @@ TEST_F(NodeOsTest, TcpHostIsLazySharedAndHostnameSeeded) {
 
     // Seeding is a pure function of the hostname: two nodes with the
     // same name draw identical ISS/port sequences, different names
-    // diverge. That is what keeps fleet runs shard-deterministic.
+    // diverge. A node's draws never depend on which other nodes exist
+    // or the order they were built in.
     NodeOs twinA{sim, "twin.example.org"};
     NodeOs twinB{sim, "twin.example.org"};
     NodeOs other{sim, "other.example.org"};

@@ -57,34 +57,6 @@ TEST_F(LcpPair, TwinSeedsStillGetDistinctMagics) {
     EXPECT_TRUE(b.isOpened());
 }
 
-TEST_F(LcpPair, SeededEntropyMakesMagicThreadIndependent) {
-    // entropySeed != 0: the magic is a pure function of (rng seed,
-    // entropy seed, per-instance draw ordinal) — unaffected by the
-    // process-global counter other endpoints advance. This is what
-    // lets the sharded fleet produce identical frame bytes for every
-    // shard count (which thread brings a link up varies with N).
-    LcpConfig seeded;
-    seeded.entropySeed = 0xfeedfaceULL;
-    const std::uint32_t first = Lcp{sim, seeded, util::RandomStream{42}}.result().localMagic;
-    // Burn global-counter draws, as a different shard layout would.
-    for (int i = 0; i < 7; ++i) Lcp burn{sim, LcpConfig{}, util::RandomStream{9}};
-    const std::uint32_t again = Lcp{sim, seeded, util::RandomStream{42}}.result().localMagic;
-    EXPECT_EQ(first, again);
-
-    // Distinct entropy seeds (the fleet derives them per endpoint)
-    // still yield distinct magics for identically seeded rngs.
-    LcpConfig other = seeded;
-    other.entropySeed = 0xdeadbeefULL;
-    EXPECT_NE(first, (Lcp{sim, other, util::RandomStream{42}}.result().localMagic));
-
-    // And a seeded pair negotiates like any other.
-    Lcp a{sim, seeded, util::RandomStream{42}};
-    Lcp b{sim, other, util::RandomStream{42}};
-    open(a, b);
-    EXPECT_TRUE(a.isOpened());
-    EXPECT_TRUE(b.isOpened());
-}
-
 TEST_F(LcpPair, LoopbackMagicIsNaked) {
     // Loopback detection (RFC 1661 §6.4): a Configure-Request carrying
     // our own magic number must be Configure-Nak'ed with a new value.

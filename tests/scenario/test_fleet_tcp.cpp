@@ -63,24 +63,5 @@ TEST(FleetTcp, CongestionAlgorithmIsSelectable) {
     EXPECT_EQ(run.probesReceived, run.probesSent);
 }
 
-TEST(FleetTcp, ShardedWaveCrossesCutEdges) {
-    FleetConfig config = makeUniformFleet(2, 7);
-    config.shards = 2;
-    Fleet fleet{std::move(config)};
-    ASSERT_TRUE(fleet.sharded());
-    ASSERT_TRUE(fleet.startAll().ok());
-    ASSERT_TRUE(fleet.addDestinationAll().ok());
-
-    const auto runs = fleet.runTcpAll(4.0);
-    ASSERT_EQ(runs.size(), 2u);
-    for (const FleetTcpRun& run : runs) {
-        EXPECT_GT(run.probesSent, 0u) << run.imsi;
-        EXPECT_EQ(run.probesReceived, run.probesSent) << run.imsi;
-    }
-    EXPECT_EQ(fleet.shardGroup()->lateDeliveries(), 0u);
-    for (std::size_t i = 0; i < fleet.umtsSiteCount(); ++i)
-        EXPECT_EQ(fleet.umtsSite(i).node().tcp().connectionCount(), 0u) << i;
-}
-
 }  // namespace
 }  // namespace onelab::scenario

@@ -10,11 +10,7 @@
 //   obsq top     <profile.json|trace.json> [-n N]
 //   obsq diff    <runA> <runB>               run dirs or trace files
 //   obsq merge   <trace.json...>             merged trace on stdout
-//                (one tid lane per input; --stable re-sorts into the
-//                 sharded exporter's content order on tid 1 instead)
-//   obsq merge   <flight.shard*.json...>     flight fragments merge
-//                (auto-detected; entries stably sorted by t_ns, then
-//                 category/name/kind/detail; dropped counts summed)
+//                (one tid lane per input)
 //   obsq --self-check
 //
 // Filters: --cat S --name S --kind S --imsi S --from SEC --to SEC
@@ -49,10 +45,7 @@ int usage(std::FILE* out) {
         "  --to SEC    sim-time window upper bound, seconds\n"
         "  --limit N   print at most N rows\n"
         "  --tail N    keep only the newest N rows\n"
-        "  -n N        top: table depth (default 10)\n"
-        "  --stable    merge: content-sorted single-lane output\n"
-        "              (per-shard fragments of ONE run; flight dumps\n"
-        "               are detected and merged this way automatically)\n",
+        "  -n N        top: table depth (default 10)\n",
         out);
     return out == stdout ? 0 : 2;
 }
@@ -114,7 +107,6 @@ int main(int argc, char** argv) {
     const std::string command = args[0];
     Filter filter;
     std::size_t topN = 10;
-    bool stableMerge = false;
     std::vector<std::string> files;
     for (std::size_t i = 1; i < args.size(); ++i) {
         const std::string& arg = args[i];
@@ -161,8 +153,6 @@ int main(int argc, char** argv) {
             const auto* v = needValue("-n");
             if (!v) return 2;
             topN = std::size_t(std::strtoul(v->c_str(), nullptr, 10));
-        } else if (arg == "--stable") {
-            stableMerge = true;
         } else if (!arg.empty() && arg[0] == '-') {
             std::fprintf(stderr, "obsq: unknown option %s\n", arg.c_str());
             return 2;
@@ -210,31 +200,17 @@ int main(int argc, char** argv) {
 
     if (command == "merge") {
         if (files.empty()) {
-            std::fputs("obsq merge: expected at least one trace or flight file\n",
-                       stderr);
+            std::fputs("obsq merge: expected at least one trace file\n", stderr);
             return 2;
         }
         std::vector<JsonValue> docs;
         docs.reserve(files.size());
-        bool allFlight = true;
         for (const std::string& path : files) {
             JsonValue doc;
             if (!loadDoc(path, doc)) return 1;
-            const JsonValue* entries = doc.find("entries");
-            allFlight = allFlight && entries && entries->isArray();
             docs.push_back(std::move(doc));
         }
-        // Per-shard flight fragments are self-identifying (they carry
-        // "entries", traces carry "traceEvents") and only have one
-        // sensible merge: the stable content order.
-        std::string out;
-        if (allFlight)
-            out = onelab::obs::query::mergeFlights(docs);
-        else if (stableMerge)
-            out = onelab::obs::query::mergeTracesStable(docs);
-        else
-            out = onelab::obs::query::mergeTraces(docs);
-        std::fputs(out.c_str(), stdout);
+        std::fputs(onelab::obs::query::mergeTraces(docs).c_str(), stdout);
         return 0;
     }
 
