@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <utility>
 
 namespace onelab::util {
 namespace {
@@ -66,8 +68,11 @@ TEST(RandomStream, ChanceEdgeCases) {
     EXPECT_TRUE(rng.chance(1.5));
 }
 
-class DistributionMean
-    : public ::testing::TestWithParam<std::pair<const char*, double>> {};
+// The spec is a std::string, not a const char*, so that gtest prints the
+// parameter (and CTest names the test) by value instead of by address.
+using DistributionCase = std::pair<std::string, double>;
+
+class DistributionMean : public ::testing::TestWithParam<DistributionCase> {};
 
 TEST_P(DistributionMean, SampleMeanConvergesToSpecMean) {
     const auto [spec, expectedMean] = GetParam();
@@ -85,10 +90,12 @@ TEST_P(DistributionMean, SampleMeanConvergesToSpecMean) {
 
 INSTANTIATE_TEST_SUITE_P(
     Distributions, DistributionMean,
-    ::testing::Values(std::pair{"constant:42", 42.0}, std::pair{"uniform:10:20", 15.0},
-                      std::pair{"exp:0.5", 0.5}, std::pair{"pareto:3:100", 150.0},
-                      std::pair{"normal:50:5", 50.0}, std::pair{"weibull:2:10", 8.8623},
-                      std::pair{"gamma:2:3", 6.0}));
+    ::testing::Values(DistributionCase{"constant:42", 42.0},
+                      DistributionCase{"uniform:10:20", 15.0}, DistributionCase{"exp:0.5", 0.5},
+                      DistributionCase{"pareto:3:100", 150.0},
+                      DistributionCase{"normal:50:5", 50.0},
+                      DistributionCase{"weibull:2:10", 8.8623},
+                      DistributionCase{"gamma:2:3", 6.0}));
 
 TEST(RandomVariable, ParetoSamplesAboveScale) {
     RandomStream rng{1};
