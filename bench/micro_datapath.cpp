@@ -370,7 +370,7 @@ void BM_FramedPipeGoodput(benchmark::State& state) {
     ppp::Deframer deframer;
     std::uint64_t payloadBytes = 0;
     deframer.onFrame([&](ppp::Frame got) { payloadBytes += got.info.size(); });
-    pipe.b().onData([&](util::ByteView data) { deframer.feed(data); });
+    pipe.b().onData([&](util::SharedBytes data) { deframer.feed(data.view()); });
 
     constexpr int kFramesPerBatch = 4;
     for (auto _ : state) {

@@ -322,19 +322,20 @@ BENCHMARK(BM_ScheduleCancel_LegacyCore)->Arg(1024);
 
 // ---------------------------------------------------------------------------
 // Pipe goodput: write MTU-sized frames through the pooled datapath
-// (buffer acquire -> scheduled delivery -> handler -> buffer release).
+// (pooled copy -> scheduled delivery -> handler -> buffer recycle).
 // ---------------------------------------------------------------------------
 void BM_PipeGoodput(benchmark::State& state) {
     sim::Simulator sim;
     sim::Pipe pipe{sim, sim::millis(1)};
     std::uint64_t received = 0;
-    pipe.b().onData([&received](util::ByteView data) { received += data.size(); });
+    pipe.b().onData([&received](util::SharedBytes data) { received += data.size(); });
     const util::Bytes frame(std::size_t(state.range(0)), std::uint8_t{0xAB});
+    sim::BufferPool& pool = sim.bufferPool();
     for (auto _ : state) {
-        pipe.a().write(frame);
-        pipe.a().write(frame);
-        pipe.a().write(frame);
-        pipe.a().write(frame);
+        pipe.a().write(pool.acquireShared(frame));
+        pipe.a().write(pool.acquireShared(frame));
+        pipe.a().write(pool.acquireShared(frame));
+        pipe.a().write(pool.acquireShared(frame));
         sim.run();
     }
     benchmark::DoNotOptimize(received);

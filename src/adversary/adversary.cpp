@@ -304,8 +304,8 @@ void AdversaryDriver::actAtAbuser(Attacker& attacker) {
         }
     }
     countAction(attacker);
-    target->tty().a().write(
-        {reinterpret_cast<const std::uint8_t*>(payload.data()), payload.size()});
+    target->tty().a().write(fleet_->sim().bufferPool().acquireShared(
+        {reinterpret_cast<const std::uint8_t*>(payload.data()), payload.size()}));
 }
 
 void AdversaryDriver::actSignalingStorm(std::size_t index, Attacker& attacker) {

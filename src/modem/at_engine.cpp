@@ -15,9 +15,7 @@ AtEngine::AtEngine(sim::Simulator& simulator, std::string logTag)
 
 void AtEngine::attachTty(sim::ByteChannel& tty) {
     tty_ = &tty;
-    // Slice-aware receive: in data mode the arriving pooled buffer is
-    // forwarded to the bearer bridge without a copy.
-    tty.onDataShared([this](util::SharedBytes data) { onHostData(data); });
+    tty.onData([this](util::SharedBytes data) { onHostData(data); });
 }
 
 void AtEngine::registerCommand(const std::string& prefix, Handler handler) {
@@ -27,7 +25,8 @@ void AtEngine::registerCommand(const std::string& prefix, Handler handler) {
 void AtEngine::reply(const std::string& line) {
     if (!tty_) return;
     const std::string framed = "\r\n" + line + "\r\n";
-    tty_->write({reinterpret_cast<const std::uint8_t*>(framed.data()), framed.size()});
+    tty_->write(sim_.bufferPool().acquireShared(
+        {reinterpret_cast<const std::uint8_t*>(framed.data()), framed.size()}));
 }
 
 void AtEngine::final(const std::string& result) {
@@ -45,13 +44,7 @@ void AtEngine::unsolicited(const std::string& line) {
     reply(line);
 }
 
-void AtEngine::enterDataMode(std::function<void(util::ByteView)> fromHost) {
-    enterDataModeShared([fromHost = std::move(fromHost)](const util::SharedBytes& data) {
-        fromHost(data.view());
-    });
-}
-
-void AtEngine::enterDataModeShared(std::function<void(util::SharedBytes)> fromHost) {
+void AtEngine::enterDataMode(std::function<void(util::SharedBytes)> fromHost) {
     dataMode_ = true;
     dataSink_ = std::move(fromHost);
     plusCount_ = 0;
@@ -63,10 +56,6 @@ void AtEngine::leaveDataMode() {
     if (escapeTimer_.valid()) sim_.cancel(escapeTimer_);
     escapeTimer_ = {};
     lineBuffer_.clear();
-}
-
-void AtEngine::sendToHost(util::ByteView data) {
-    if (tty_) tty_->write(data);
 }
 
 void AtEngine::sendToHost(const util::SharedBytes& data) {
@@ -129,7 +118,7 @@ void AtEngine::onHostData(const util::SharedBytes& data) {
     // bytes ahead of the result codes they triggered.
     const auto flushEcho = [this] {
         if (echoBuffer_.empty()) return;
-        if (tty_) tty_->write({echoBuffer_.data(), echoBuffer_.size()});
+        if (tty_) tty_->write(sim_.bufferPool().acquireShared(echoBuffer_));
         echoBuffer_.clear();
     };
     for (const std::uint8_t byte : data.view()) {

@@ -45,19 +45,16 @@ class AtEngine {
     void unsolicited(const std::string& line);
 
     // --- data (online) mode ---
-    /// Enter data mode: raw host bytes flow to `fromHost` instead of
-    /// the command parser. Call after sending the CONNECT final.
-    void enterDataMode(std::function<void(util::ByteView)> fromHost);
-    /// Slice-aware variant: `fromHost` receives the refcounted pooled
-    /// buffer that arrived on the TTY, so the modem bridge forwards it
-    /// to the bearer without a copy.
-    void enterDataModeShared(std::function<void(util::SharedBytes)> fromHost);
+    /// Enter data mode: the slices arriving on the host TTY flow to
+    /// `fromHost` instead of the command parser, so the modem bridge
+    /// forwards them to the bearer without a copy. Call after sending
+    /// the CONNECT final.
+    void enterDataMode(std::function<void(util::SharedBytes)> fromHost);
     /// Back to command mode (on hangup or escape).
     void leaveDataMode();
     [[nodiscard]] bool inDataMode() const noexcept { return dataMode_; }
-    /// Raw bytes toward the host while in data mode (PPP frames).
-    void sendToHost(util::ByteView data);
-    /// Zero-copy variant: forwards the slice to the TTY as-is.
+    /// Raw bytes toward the host while in data mode (PPP frames),
+    /// forwarded to the TTY as-is.
     void sendToHost(const util::SharedBytes& data);
 
     /// Fired when "+++" with proper guard times is detected in data

@@ -73,11 +73,11 @@ void Pppd::attach(sim::ByteChannel& channel) {
     // The guard protects against line deliveries racing our own
     // destruction (a torn-down dialer may leave this handler installed
     // until the next tool takes the TTY over).
-    channel.onData([this, alive = std::weak_ptr<bool>(alive_)](util::ByteView data) {
+    channel.onData([this, alive = std::weak_ptr<bool>(alive_)](util::SharedBytes data) {
         const auto stillAlive = alive.lock();
         if (!stillAlive || !*stillAlive) return;
         counters_.bytesFromLine += data.size();
-        deframer_.feed(data);
+        deframer_.feed(data.view());
         counters_.badFrames = deframer_.badFrames();
     });
 }
@@ -144,9 +144,8 @@ void Pppd::sendFrame(Protocol protocol, util::ByteView info) {
                                                       .compressAddressControl = false}
                                        : sendFramer_;
     // Encode straight into a pooled buffer and hand the line a
-    // refcounted slice: the same bytes ride every hop to the deframer
-    // (zero-copy channels) or degrade to one copy at the first legacy
-    // hop. The capacity recycles when the last hop lets go.
+    // refcounted slice: the same bytes ride every hop to the deframer.
+    // The capacity recycles when the last hop lets go.
     util::Bytes wire = framePool_.acquire(std::size_t{0});
     encodeFrameInto(protocol, info, framing, wire);
     counters_.bytesToLine += wire.size();

@@ -21,33 +21,25 @@ class Pipe::End final : public ByteChannel {
 
     void connect(End* peer) { peer_ = peer; }
 
-    void write(util::ByteView data) override {
+    void write(const util::SharedBytes& data) override {
         obs::ProfileScope scope(obs::ProfileCategory::pipe);
         if (!peer_) return;
-        if (!peer_->handler_ && !peer_->sharedHandler_) {
+        if (!peer_->handler_) {
             // The peer never installed a receive callback: the bytes
             // would be dropped at delivery time anyway, so skip the
-            // copy, the corruption pass and the scheduled event — but
-            // keep the count visible. (Handlers are installed before
-            // traffic in every bring-up path; a write landing here is
-            // a half-wired endpoint, not an in-flight race.)
+            // corruption pass and the scheduled event — but keep the
+            // count visible. (Handlers are installed before traffic in
+            // every bring-up path; a write landing here is a half-wired
+            // endpoint, not an in-flight race.)
             droppedNoHandler_->inc(data.size());
             return;
         }
-        // Copy now (into a pooled buffer); deliver later. FIFO order is
-        // guaranteed because the simulator breaks timestamp ties in
-        // scheduling order. The peer's alive flag guards against
-        // delivery after destruction.
-        util::Bytes copy = sim_.bufferPool().acquire(data);
-        if (corruption_ && corruptProbability_ > 0.0) {
-            for (auto& byte : copy) {
-                if (!corruption_->chance(corruptProbability_)) continue;
-                // XOR with a nonzero mask so a corrupted byte always
-                // differs from the original.
-                byte ^= std::uint8_t(corruption_->uniformInt(1, 255));
-                ++corruptedBytes_;
-            }
-        }
+        // The delivery event holds a reference to the writer's slice;
+        // corruption flips bytes in a private pooled copy instead, so
+        // the writer's bytes are never mutated. The peer's alive flag
+        // guards against delivery after destruction.
+        util::SharedBytes buffer =
+            corruption_ && corruptProbability_ > 0.0 ? corrupt(data.view()) : data;
         End* peer = peer_;
         std::weak_ptr<bool> peerAlive = peer->alive_;
         // A stall delays delivery until the stall window closes; FIFO
@@ -55,71 +47,23 @@ class Pipe::End final : public ByteChannel {
         // and the simulator breaks ties in scheduling order.
         const SimTime departure = sim_.now() + latency_;
         const SimTime delivery = std::max(departure, stallUntil_);
-        BufferPool* pool = &sim_.bufferPool();
         sim_.schedule(delivery - sim_.now(),
-                      [peer, peerAlive, pool, buffer = std::move(copy)]() mutable {
+                      [peer, peerAlive, buffer = std::move(buffer)]() mutable {
             const auto alive = peerAlive.lock();
             if (!alive || !*alive) return;
             // Copy the handler before invoking: handlers may replace
             // themselves (wvdial hands the TTY from chat to pppd from
             // within a delivery), and invoking the member directly
-            // would destroy the executing closure.
-            if (peer->sharedHandler_) {
-                // Slice-aware receiver: hand the pooled buffer over as
-                // a refcounted slice (it recycles when the last hop
-                // lets go) instead of releasing it here.
-                const auto handler = peer->sharedHandler_;
-                handler(pool->share(std::move(buffer)));
-                return;
-            }
+            // would destroy the executing closure. The slice moves into
+            // the handler, so a handler that keeps nothing recycles the
+            // buffer as it returns.
             const auto handler = peer->handler_;
-            if (handler) handler(buffer);
-            // Recycle the buffer for the next write. An event that
-            // never fires (cancel/clear) just frees it — fine.
-            pool->release(std::move(buffer));
+            if (handler) handler(std::move(buffer));
         });
     }
 
-    /// Zero-copy write: the delivery event holds a reference to the
-    /// writer's slice instead of a pooled copy. Falls back to the
-    /// copying path when the bytes must be privately owned (corruption
-    /// mutates them).
-    void write(const util::SharedBytes& data) override {
-        obs::ProfileScope scope(obs::ProfileCategory::pipe);
-        if (!peer_) return;
-        if (corruption_ && corruptProbability_ > 0.0) {
-            write(data.view());
-            return;
-        }
-        if (!peer_->handler_ && !peer_->sharedHandler_) {
-            droppedNoHandler_->inc(data.size());
-            return;
-        }
-        End* peer = peer_;
-        std::weak_ptr<bool> peerAlive = peer->alive_;
-        const SimTime departure = sim_.now() + latency_;
-        const SimTime delivery = std::max(departure, stallUntil_);
-        sim_.schedule(delivery - sim_.now(), [peer, peerAlive, buffer = data] {
-            const auto alive = peerAlive.lock();
-            if (!alive || !*alive) return;
-            if (peer->sharedHandler_) {
-                const auto handler = peer->sharedHandler_;
-                handler(buffer);
-                return;
-            }
-            const auto handler = peer->handler_;
-            if (handler) handler(buffer.view());
-        });
-    }
-
-    void onData(std::function<void(util::ByteView)> handler) override {
+    void onData(std::function<void(util::SharedBytes)> handler) override {
         handler_ = std::move(handler);
-        sharedHandler_ = nullptr;
-    }
-
-    void onDataShared(std::function<void(util::SharedBytes)> handler) override {
-        sharedHandler_ = std::move(handler);
-        handler_ = nullptr;
     }
 
     void stallFor(SimTime duration) {
@@ -139,12 +83,25 @@ class Pipe::End final : public ByteChannel {
     }
 
   private:
+    /// A pooled copy of `data` with each byte flipped at the
+    /// configured probability.
+    util::SharedBytes corrupt(util::ByteView data) {
+        util::Bytes copy = sim_.bufferPool().acquire(data);
+        for (auto& byte : copy) {
+            if (!corruption_->chance(corruptProbability_)) continue;
+            // XOR with a nonzero mask so a corrupted byte always
+            // differs from the original.
+            byte ^= std::uint8_t(corruption_->uniformInt(1, 255));
+            ++corruptedBytes_;
+        }
+        return sim_.bufferPool().share(std::move(copy));
+    }
+
     Simulator& sim_;
     SimTime latency_;
     std::shared_ptr<bool> alive_;
     End* peer_ = nullptr;
-    std::function<void(util::ByteView)> handler_;
-    std::function<void(util::SharedBytes)> sharedHandler_;
+    std::function<void(util::SharedBytes)> handler_;
     SimTime stallUntil_{0};
     double corruptProbability_ = 0.0;
     std::unique_ptr<util::RandomStream> corruption_;

@@ -4,43 +4,26 @@
 #include <memory>
 
 #include "sim/simulator.hpp"
-#include "util/bytes.hpp"
 #include "util/shared_bytes.hpp"
 
 namespace onelab::sim {
 
 /// One end of a bidirectional byte stream (a TTY, a serial line, the
-/// byte side of a radio bearer). Writes go to the peer; data arriving
-/// from the peer is delivered through the onData callback.
-///
-/// Zero-copy extension: a writer holding a refcounted pooled slice can
-/// hand it over with write(SharedBytes), and a receiver that forwards
-/// bytes onward (rather than consuming them in place) installs
-/// onDataShared() to get the slice itself. Channels that don't
-/// override the shared forms degrade to the copying view path, so the
-/// two worlds interoperate hop by hop.
+/// byte side of a radio bearer). Bytes cross it as refcounted
+/// util::SharedBytes slices, the datapath's one currency: a writer
+/// holding text or a scratch buffer hands over a pooled copy
+/// (sim.bufferPool().acquireShared(view)), a receiver that forwards
+/// bytes onward keeps the slice itself, and one that parses in place
+/// reads view().
 class ByteChannel {
   public:
     virtual ~ByteChannel() = default;
 
-    /// Write bytes toward the peer.
-    virtual void write(util::ByteView data) = 0;
+    /// Write a slice toward the peer.
+    virtual void write(const util::SharedBytes& data) = 0;
 
-    /// Write a refcounted slice toward the peer. Default: view copy.
-    virtual void write(const util::SharedBytes& data) { write(data.view()); }
-
-    /// Install the receive callback (bytes arriving from the peer).
-    virtual void onData(std::function<void(util::ByteView)> handler) = 0;
-
-    /// Slice-aware receive: the handler gets the writer's refcounted
-    /// buffer when one rode the channel intact, or a wrapped copy
-    /// otherwise. Installing it replaces any onData handler (one
-    /// receive callback is active at a time).
-    virtual void onDataShared(std::function<void(util::SharedBytes)> handler) {
-        onData([handler = std::move(handler)](util::ByteView data) {
-            handler(util::SharedBytes::copy(data));
-        });
-    }
+    /// Install the receive callback (slices arriving from the peer).
+    virtual void onData(std::function<void(util::SharedBytes)> handler) = 0;
 };
 
 /// An in-memory byte pipe connecting two ByteChannel endpoints.

@@ -6,7 +6,7 @@ namespace onelab::tools {
 
 AtChat::AtChat(sim::Simulator& simulator, sim::ByteChannel& tty, std::string logTag)
     : sim_(simulator), tty_(tty), log_("tools.chat." + logTag) {
-    tty_.onData([this](util::ByteView data) { onData(data); });
+    tty_.onData([this](util::SharedBytes data) { onData(data.view()); });
 }
 
 AtChat::~AtChat() {
@@ -26,7 +26,8 @@ void AtChat::send(const std::string& command, sim::SimTime timeout, Callback don
     callback_ = std::move(done);
     log_.debug() << ">> " << command;
     const std::string wire = command + "\r";
-    tty_.write({reinterpret_cast<const std::uint8_t*>(wire.data()), wire.size()});
+    tty_.write(sim_.bufferPool().acquireShared(
+        {reinterpret_cast<const std::uint8_t*>(wire.data()), wire.size()}));
     timeout_ = sim_.schedule(timeout, [this] {
         timeout_ = {};
         finish(util::err(util::Error::Code::timeout,

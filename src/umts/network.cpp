@@ -9,30 +9,21 @@ namespace onelab::umts {
 
 // ----------------------------------------------------------- channels
 
-/// Adapter exposing one side of the radio bearer as a ByteChannel.
-/// Slice-aware on both planes: a writer handing over a refcounted
-/// slice rides the RLC queue and delay model without a copy, and a
-/// slice-aware receiver gets the queued slice itself.
+/// Adapter exposing one side of the radio bearer as a ByteChannel: a
+/// written slice rides the RLC queue and delay model without a copy,
+/// and the receiver gets the queued slice itself.
 class UmtsSession::Channel final : public sim::ByteChannel {
   public:
-    Channel(sim::Simulator& simulator, RadioBearer& bearer, bool ueSide)
-        : sim_(simulator), bearer_(bearer), ueSide_(ueSide) {}
+    Channel(RadioBearer& bearer, bool ueSide) : bearer_(bearer), ueSide_(ueSide) {}
 
-    void write(util::ByteView data) override {
-        // A view writer still pays one copy — into a pooled buffer, so
-        // the allocation is recycled when the far end lets go.
-        submit(sim_.bufferPool().acquireShared(data));
+    void write(const util::SharedBytes& data) override {
+        if (ueSide_)
+            bearer_.sendUplink(data);
+        else
+            bearer_.sendDownlink(data);
     }
 
-    void write(const util::SharedBytes& data) override { submit(data); }
-
-    void onData(std::function<void(util::ByteView)> handler) override {
-        onDataShared([handler = std::move(handler)](const util::SharedBytes& chunk) {
-            if (handler) handler(chunk.view());
-        });
-    }
-
-    void onDataShared(std::function<void(util::SharedBytes)> handler) override {
+    void onData(std::function<void(util::SharedBytes)> handler) override {
         if (ueSide_)
             bearer_.setDownlinkSink(std::move(handler));
         else
@@ -40,14 +31,6 @@ class UmtsSession::Channel final : public sim::ByteChannel {
     }
 
   private:
-    void submit(util::SharedBytes chunk) {
-        if (ueSide_)
-            bearer_.sendUplink(std::move(chunk));
-        else
-            bearer_.sendDownlink(std::move(chunk));
-    }
-
-    sim::Simulator& sim_;
     RadioBearer& bearer_;
     bool ueSide_;
 };
@@ -64,8 +47,8 @@ UmtsSession::UmtsSession(UmtsNetwork& network, std::string imsi,
     bearer_ = std::make_unique<RadioBearer>(network_.sim_, network_.profile_,
                                             network_.rng_.derive("bearer-" + imsi_), imsi_,
                                             &network_.cell_);
-    ueChannel_ = std::make_unique<Channel>(network_.sim_, *bearer_, /*ueSide=*/true);
-    netChannel_ = std::make_unique<Channel>(network_.sim_, *bearer_, /*ueSide=*/false);
+    ueChannel_ = std::make_unique<Channel>(*bearer_, /*ueSide=*/true);
+    netChannel_ = std::make_unique<Channel>(*bearer_, /*ueSide=*/false);
 }
 
 UmtsSession::~UmtsSession() = default;

@@ -1,7 +1,5 @@
 #include "util/shared_bytes.hpp"
 
-#include <algorithm>
-
 namespace onelab::util {
 
 SharedBytes SharedBytes::wrap(Bytes&& data) {
@@ -10,20 +8,7 @@ SharedBytes SharedBytes::wrap(Bytes&& data) {
     return adopt(core);
 }
 
-SharedBytes SharedBytes::copy(ByteView data) {
-    return wrap(Bytes{data.begin(), data.end()});
-}
-
-SharedBytes SharedBytes::adopt(SharedBytesCore* core) noexcept {
-    return SharedBytes{core, core->data.data(), core->data.size()};
-}
-
-SharedBytes SharedBytes::slice(std::size_t offset, std::size_t length) const noexcept {
-    offset = std::min(offset, size_);
-    length = std::min(length, size_ - offset);
-    if (length == 0) return {};  // an empty slice holds no reference
-    return SharedBytes{core_, data_ + offset, length};
-}
+SharedBytes SharedBytes::adopt(SharedBytesCore* core) noexcept { return SharedBytes{core}; }
 
 void SharedBytes::unref() noexcept {
     if (!core_ || --core_->refs != 0) return;

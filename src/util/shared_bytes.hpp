@@ -34,79 +34,61 @@ class SharedBytesCore {
     std::size_t liveIndex = 0;                ///< recycler bookkeeping slot
 };
 
-/// An immutable refcounted [offset, offset+size) slice of a shared
-/// byte buffer — the zero-copy currency of the datapath. A PPP frame
-/// is encoded once into a pooled buffer, then the same underlying
-/// bytes ride TTY pipe -> modem -> RLC queue -> delivery with each hop
-/// holding a reference instead of a copy.
+/// An immutable refcounted handle on a shared byte buffer — the
+/// zero-copy currency of the datapath. A PPP frame is encoded once
+/// into a pooled buffer, then the same underlying bytes ride TTY pipe
+/// -> modem -> RLC queue -> delivery with each hop holding a reference
+/// instead of a copy. A handle always spans its whole buffer.
 class SharedBytes {
   public:
     SharedBytes() = default;
     ~SharedBytes() { unref(); }
 
-    SharedBytes(const SharedBytes& other) noexcept
-        : core_(other.core_), data_(other.data_), size_(other.size_) {
+    SharedBytes(const SharedBytes& other) noexcept : core_(other.core_) {
         if (core_) ++core_->refs;
     }
-    SharedBytes(SharedBytes&& other) noexcept
-        : core_(std::exchange(other.core_, nullptr)),
-          data_(std::exchange(other.data_, nullptr)),
-          size_(std::exchange(other.size_, 0)) {}
+    SharedBytes(SharedBytes&& other) noexcept : core_(std::exchange(other.core_, nullptr)) {}
     SharedBytes& operator=(const SharedBytes& other) noexcept {
         if (this == &other) return *this;
         if (other.core_) ++other.core_->refs;
         unref();
         core_ = other.core_;
-        data_ = other.data_;
-        size_ = other.size_;
         return *this;
     }
     SharedBytes& operator=(SharedBytes&& other) noexcept {
         if (this == &other) return *this;
         unref();
         core_ = std::exchange(other.core_, nullptr);
-        data_ = std::exchange(other.data_, nullptr);
-        size_ = std::exchange(other.size_, 0);
         return *this;
     }
 
     /// Take ownership of a plain buffer (fresh heap core, no pool).
     [[nodiscard]] static SharedBytes wrap(Bytes&& data);
-    /// Copy `data` into a fresh heap core.
-    [[nodiscard]] static SharedBytes copy(ByteView data);
     /// Adopt a prepared zero-ref core (BufferPool::share); the result
-    /// holds the first reference and spans the whole buffer.
+    /// holds the first reference.
     [[nodiscard]] static SharedBytes adopt(SharedBytesCore* core) noexcept;
 
-    [[nodiscard]] const std::uint8_t* data() const noexcept { return data_; }
-    [[nodiscard]] std::size_t size() const noexcept { return size_; }
-    [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
-    [[nodiscard]] ByteView view() const noexcept { return {data_, size_}; }
+    [[nodiscard]] const std::uint8_t* data() const noexcept {
+        return core_ ? core_->data.data() : nullptr;
+    }
+    [[nodiscard]] std::size_t size() const noexcept { return core_ ? core_->data.size() : 0; }
+    [[nodiscard]] bool empty() const noexcept { return size() == 0; }
+    [[nodiscard]] ByteView view() const noexcept { return {data(), size()}; }
 
-    /// A sub-slice sharing the same core (clamped to this slice).
-    [[nodiscard]] SharedBytes slice(std::size_t offset, std::size_t length) const noexcept;
-
-    /// References on the underlying core (0 for a null slice).
+    /// References on the underlying core (0 for a null handle).
     [[nodiscard]] std::uint32_t refCount() const noexcept { return core_ ? core_->refs : 0; }
 
     void reset() noexcept {
         unref();
         core_ = nullptr;
-        data_ = nullptr;
-        size_ = 0;
     }
 
   private:
-    SharedBytes(SharedBytesCore* core, const std::uint8_t* data, std::size_t size) noexcept
-        : core_(core), data_(data), size_(size) {
-        if (core_) ++core_->refs;
-    }
+    explicit SharedBytes(SharedBytesCore* core) noexcept : core_(core) { ++core_->refs; }
 
     void unref() noexcept;
 
     SharedBytesCore* core_ = nullptr;
-    const std::uint8_t* data_ = nullptr;
-    std::size_t size_ = 0;
 };
 
 }  // namespace onelab::util

@@ -8,13 +8,14 @@ namespace {
 struct AtEngineTest : ::testing::Test {
     AtEngineTest() : pipe(sim), engine(sim, "test") {
         engine.attachTty(pipe.b());
-        pipe.a().onData([this](util::ByteView data) {
-            received.append(data.begin(), data.end());
+        pipe.a().onData([this](util::SharedBytes data) {
+            received.append(data.view().begin(), data.view().end());
         });
     }
 
     void hostSend(const std::string& text) {
-        pipe.a().write({reinterpret_cast<const std::uint8_t*>(text.data()), text.size()});
+        pipe.a().write(sim.bufferPool().acquireShared(
+            {reinterpret_cast<const std::uint8_t*>(text.data()), text.size()}));
         sim.runUntil(sim.now() + sim::millis(10));
     }
 
@@ -115,8 +116,8 @@ TEST_F(AtEngineTest, BackspaceEditsLine) {
 
 TEST_F(AtEngineTest, DataModeBypassesParser) {
     util::Bytes sunk;
-    engine.enterDataMode([&](util::ByteView data) {
-        sunk.insert(sunk.end(), data.begin(), data.end());
+    engine.enterDataMode([&](util::SharedBytes data) {
+        sunk.insert(sunk.end(), data.view().begin(), data.view().end());
     });
     ASSERT_TRUE(engine.inDataMode());
     hostSend("AT\r");  // raw bytes, not a command
@@ -125,9 +126,8 @@ TEST_F(AtEngineTest, DataModeBypassesParser) {
 }
 
 TEST_F(AtEngineTest, SendToHostInDataMode) {
-    engine.enterDataMode([](util::ByteView) {});
-    const util::Bytes frame{0x7e, 0xff, 0x7e};
-    engine.sendToHost({frame.data(), frame.size()});
+    engine.enterDataMode([](util::SharedBytes) {});
+    engine.sendToHost(util::SharedBytes::wrap(util::Bytes{0x7e, 0xff, 0x7e}));
     sim.runUntil(sim.now() + sim::millis(10));
     EXPECT_EQ(received.size(), 3u);
 }
@@ -135,7 +135,7 @@ TEST_F(AtEngineTest, SendToHostInDataMode) {
 TEST_F(AtEngineTest, EscapeSequenceWithGuardTimes) {
     bool escaped = false;
     engine.onEscape = [&] { escaped = true; };
-    engine.enterDataMode([](util::ByteView) {});
+    engine.enterDataMode([](util::SharedBytes) {});
     hostSend("some data");
     sim.runUntil(sim.now() + sim::seconds(1.5));  // guard silence
     hostSend("+++");
@@ -147,7 +147,7 @@ TEST_F(AtEngineTest, EscapeSequenceWithGuardTimes) {
 TEST_F(AtEngineTest, PlusesInsideDataDoNotEscape) {
     bool escaped = false;
     engine.onEscape = [&] { escaped = true; };
-    engine.enterDataMode([](util::ByteView) {});
+    engine.enterDataMode([](util::SharedBytes) {});
     sim.runUntil(sim.now() + sim::seconds(1.5));
     hostSend("+++more data right after");  // no trailing guard
     sim.runUntil(sim.now() + sim::seconds(2.0));
@@ -155,7 +155,7 @@ TEST_F(AtEngineTest, PlusesInsideDataDoNotEscape) {
 }
 
 TEST_F(AtEngineTest, UnsolicitedSuppressedInDataMode) {
-    engine.enterDataMode([](util::ByteView) {});
+    engine.enterDataMode([](util::SharedBytes) {});
     received.clear();
     engine.unsolicited("^RSSI:18");
     sim.runUntil(sim.now() + sim::millis(10));
@@ -249,7 +249,7 @@ TEST_F(AtEngineTest, ValidDialStringCharsetAndLength) {
 TEST_F(AtEngineTest, RawPlusSpamCountedButNeverEscapes) {
     bool escaped = false;
     engine.onEscape = [&] { escaped = true; };
-    engine.enterDataMode([](util::ByteView) {});
+    engine.enterDataMode([](util::SharedBytes) {});
     const std::uint64_t before = counterValue("guard.at.escape_spam");
     // "+++" runs embedded in flowing data (no guard silence): the
     // spam detector counts them, the escape must not fire.

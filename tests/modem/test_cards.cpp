@@ -15,15 +15,16 @@ struct CardsTest : ::testing::Test {
 
     void attach(UmtsModem& modem) {
         modem.attachTty(pipe.b());
-        pipe.a().onData([this](util::ByteView data) {
-            received.append(data.begin(), data.end());
+        pipe.a().onData([this](util::SharedBytes data) {
+            received.append(data.view().begin(), data.view().end());
         });
     }
 
     std::string command(const std::string& line, double waitSeconds = 0.1) {
         received.clear();
         const std::string wire = line + "\r";
-        pipe.a().write({reinterpret_cast<const std::uint8_t*>(wire.data()), wire.size()});
+        pipe.a().write(sim.bufferPool().acquireShared(
+            {reinterpret_cast<const std::uint8_t*>(wire.data()), wire.size()}));
         sim.runUntil(sim.now() + sim::seconds(waitSeconds));
         return received;
     }
@@ -98,16 +99,16 @@ TEST_F(CardsTest, BothCardsCompleteDataCall) {
             modem = std::make_unique<HuaweiE620Modem>(sim, &network, ModemConfig{});
         modem->attachTty(localPipe.b());
         std::string local;
-        localPipe.a().onData([&](util::ByteView data) {
-            local.append(data.begin(), data.end());
+        localPipe.a().onData([&](util::SharedBytes data) {
+            local.append(data.view().begin(), data.view().end());
         });
         sim.runUntil(sim.now() + sim::seconds(5.0));
         ASSERT_EQ(modem->registration(), RegistrationState::registered_home) << kind;
         auto send = [&](const std::string& line, double wait) {
             local.clear();
             const std::string wire = line + "\r";
-            localPipe.a().write(
-                {reinterpret_cast<const std::uint8_t*>(wire.data()), wire.size()});
+            localPipe.a().write(sim.bufferPool().acquireShared(
+                {reinterpret_cast<const std::uint8_t*>(wire.data()), wire.size()}));
             sim.runUntil(sim.now() + sim::seconds(wait));
         };
         send("AT+CGDCONT=1,\"IP\",\"internet.it\"", 0.1);

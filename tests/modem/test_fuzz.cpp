@@ -19,19 +19,22 @@ TEST_P(AtFuzz, RandomBytesNeverCrashOrWedge) {
     HuaweiE620Modem modem{sim, &network, {}};
     modem.attachTty(pipe.b());
     std::string received;
-    pipe.a().onData([&](util::ByteView data) { received.append(data.begin(), data.end()); });
+    pipe.a().onData([&](util::SharedBytes data) {
+        received.append(data.view().begin(), data.view().end());
+    });
 
     util::RandomStream rng{GetParam()};
     for (int burst = 0; burst < 100; ++burst) {
         util::Bytes noise(std::size_t(rng.uniformInt(1, 40)));
         for (auto& byte : noise) byte = std::uint8_t(rng.uniformInt(0, 255));
-        pipe.a().write({noise.data(), noise.size()});
+        pipe.a().write(sim.bufferPool().acquireShared(noise));
         sim.runUntil(sim.now() + sim::millis(20));
     }
     // The engine must still answer a clean command afterwards.
     received.clear();
     const std::string probe = "\rAT\r";
-    pipe.a().write({reinterpret_cast<const std::uint8_t*>(probe.data()), probe.size()});
+    pipe.a().write(sim.bufferPool().acquireShared(
+        {reinterpret_cast<const std::uint8_t*>(probe.data()), probe.size()}));
     sim.runUntil(sim.now() + sim::millis(100));
     EXPECT_NE(received.find("OK"), std::string::npos);
 }
@@ -57,7 +60,9 @@ TEST_P(AtStreamFuzz, ArbitrarySplitBoundariesAndCorruptionResync) {
     HuaweiE620Modem modem{sim, &network, {}};
     modem.attachTty(pipe.b());
     std::string received;
-    pipe.a().onData([&](util::ByteView data) { received.append(data.begin(), data.end()); });
+    pipe.a().onData([&](util::SharedBytes data) {
+        received.append(data.view().begin(), data.view().end());
+    });
 
     const std::vector<std::string> valid = {
         "AT\r",      "ATI\r",      "AT+CSQ\r",  "AT+CGATT?\r",
@@ -91,7 +96,7 @@ TEST_P(AtStreamFuzz, ArbitrarySplitBoundariesAndCorruptionResync) {
     while (offset < stream.size()) {
         const auto chunk = std::min(std::size_t(rng.uniformInt(1, 23)),
                                     stream.size() - offset);
-        pipe.a().write({stream.data() + offset, chunk});
+        pipe.a().write(sim.bufferPool().acquireShared({stream.data() + offset, chunk}));
         offset += chunk;
         if (rng.chance(0.3)) sim.runUntil(sim.now() + sim::millis(rng.uniform(1.0, 30.0)));
     }
@@ -101,7 +106,8 @@ TEST_P(AtStreamFuzz, ArbitrarySplitBoundariesAndCorruptionResync) {
     // result, whatever garbage preceded it.
     received.clear();
     const std::string probe = "\rAT\r";
-    pipe.a().write({reinterpret_cast<const std::uint8_t*>(probe.data()), probe.size()});
+    pipe.a().write(sim.bufferPool().acquireShared(
+        {reinterpret_cast<const std::uint8_t*>(probe.data()), probe.size()}));
     sim.runUntil(sim.now() + sim::millis(500));
     EXPECT_TRUE(received.find("OK") != std::string::npos ||
                 received.find("ERROR") != std::string::npos)
@@ -122,12 +128,15 @@ TEST(AtFaultInjection, ForcedFinalsConsumeAndRecover) {
     HuaweiE620Modem modem{sim, &network, {}};
     modem.attachTty(pipe.b());
     std::string received;
-    pipe.a().onData([&](util::ByteView data) { received.append(data.begin(), data.end()); });
+    pipe.a().onData([&](util::SharedBytes data) {
+        received.append(data.view().begin(), data.view().end());
+    });
 
     modem.injectAtFailure("ERROR", 2);
     auto send = [&](const std::string& text) {
         received.clear();
-        pipe.a().write({reinterpret_cast<const std::uint8_t*>(text.data()), text.size()});
+        pipe.a().write(sim.bufferPool().acquireShared(
+            {reinterpret_cast<const std::uint8_t*>(text.data()), text.size()}));
         sim.runUntil(sim.now() + sim::millis(100));
     };
     send("AT\r");
@@ -148,11 +157,14 @@ TEST(AtEdgeCases, DegenerateLines) {
     HuaweiE620Modem modem{sim, &network, {}};
     modem.attachTty(pipe.b());
     std::string received;
-    pipe.a().onData([&](util::ByteView data) { received.append(data.begin(), data.end()); });
+    pipe.a().onData([&](util::SharedBytes data) {
+        received.append(data.view().begin(), data.view().end());
+    });
 
     auto send = [&](const std::string& text) {
         received.clear();
-        pipe.a().write({reinterpret_cast<const std::uint8_t*>(text.data()), text.size()});
+        pipe.a().write(sim.bufferPool().acquireShared(
+            {reinterpret_cast<const std::uint8_t*>(text.data()), text.size()}));
         sim.runUntil(sim.now() + sim::millis(50));
     };
     send("\r\r\r");                      // empty lines: silence

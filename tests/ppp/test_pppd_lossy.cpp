@@ -31,11 +31,13 @@ class LossyWire {
     class End final : public sim::ByteChannel {
       public:
         End(LossyWire& wire, int side) : wire_(wire), side_(side) {}
-        void write(util::ByteView data) override { wire_.transfer(side_, data); }
-        void onData(std::function<void(util::ByteView)> handler) override {
+        void write(const util::SharedBytes& data) override {
+            wire_.transfer(side_, data.view());
+        }
+        void onData(std::function<void(util::SharedBytes)> handler) override {
             handler_ = std::move(handler);
         }
-        std::function<void(util::ByteView)> handler_;
+        std::function<void(util::SharedBytes)> handler_;
 
       private:
         LossyWire& wire_;
@@ -44,14 +46,15 @@ class LossyWire {
 
     void transfer(int fromSide, util::ByteView data) {
         if (rng_.chance(drop_)) return;
-        auto copy = std::make_shared<util::Bytes>(data.begin(), data.end());
-        if (!copy->empty() && rng_.chance(corrupt_)) {
-            (*copy)[std::size_t(rng_.uniformInt(0, long(copy->size() - 1)))] ^= 0x20;
+        util::Bytes copy{data.begin(), data.end()};
+        if (!copy.empty() && rng_.chance(corrupt_)) {
+            copy[std::size_t(rng_.uniformInt(0, long(copy.size() - 1)))] ^= 0x20;
             ++corrupted_;
         }
         End& target = fromSide == 0 ? b_ : a_;
-        sim_.schedule(sim::micros(50), [&target, copy] {
-            if (target.handler_) target.handler_(*copy);
+        sim_.schedule(sim::micros(50),
+                      [&target, chunk = util::SharedBytes::wrap(std::move(copy))] {
+            if (target.handler_) target.handler_(chunk);
         });
     }
 
@@ -159,8 +162,8 @@ TEST(LossyData, TotalLineCutKillsEchoKeepalive) {
     // swallows everything.
     class NullChannel final : public sim::ByteChannel {
       public:
-        void write(util::ByteView) override {}
-        void onData(std::function<void(util::ByteView)>) override {}
+        void write(const util::SharedBytes&) override {}
+        void onData(std::function<void(util::SharedBytes)>) override {}
     } nullChannel;
     ue.attach(nullChannel);
     std::string reason;

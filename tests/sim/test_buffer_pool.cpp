@@ -111,11 +111,9 @@ TEST(BufferPool, AcquireSharedCopiesAndRoundTrips) {
     util::SharedBytes slice = pool.acquireShared({source.data(), source.size()});
     EXPECT_EQ(slice.size(), 5u);
     EXPECT_EQ(slice.view()[4], 5);
-    util::SharedBytes sub = slice.slice(1, 3);
-    slice.reset();
-    EXPECT_EQ(sub.view()[0], 2);  // sub-slice keeps the core alive
+    EXPECT_NE(slice.data(), source.data());  // a pooled copy, not the source
     EXPECT_EQ(pool.outstandingShared(), 1u);
-    sub.reset();
+    slice.reset();
     EXPECT_EQ(pool.outstandingShared(), 0u);
 }
 

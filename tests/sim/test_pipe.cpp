@@ -14,18 +14,25 @@ util::Bytes toBytes(const std::string& text) {
     return util::Bytes{text.begin(), text.end()};
 }
 
+/// A pooled copy of `text`, the way a text writer hands bytes over.
+util::SharedBytes pooled(Simulator& sim, const std::string& text) {
+    return sim.bufferPool().acquireShared(toBytes(text));
+}
+
+void append(std::string& out, const util::SharedBytes& data) {
+    out.append(data.view().begin(), data.view().end());
+}
+
 TEST(Pipe, BidirectionalDelivery) {
     Simulator sim;
     Pipe pipe{sim};
     std::string atB;
     std::string atA;
-    pipe.b().onData([&](util::ByteView data) { atB.append(data.begin(), data.end()); });
-    pipe.a().onData([&](util::ByteView data) { atA.append(data.begin(), data.end()); });
+    pipe.b().onData([&](util::SharedBytes data) { append(atB, data); });
+    pipe.a().onData([&](util::SharedBytes data) { append(atA, data); });
 
-    const auto hello = toBytes("hello");
-    pipe.a().write({hello.data(), hello.size()});
-    const auto world = toBytes("world");
-    pipe.b().write({world.data(), world.size()});
+    pipe.a().write(pooled(sim, "hello"));
+    pipe.b().write(pooled(sim, "world"));
     sim.run();
     EXPECT_EQ(atB, "hello");
     EXPECT_EQ(atA, "world");
@@ -35,9 +42,8 @@ TEST(Pipe, DeliveryIsDeferredNotReentrant) {
     Simulator sim;
     Pipe pipe{sim};
     bool delivered = false;
-    pipe.b().onData([&](util::ByteView) { delivered = true; });
-    const auto data = toBytes("x");
-    pipe.a().write({data.data(), data.size()});
+    pipe.b().onData([&](util::SharedBytes) { delivered = true; });
+    pipe.a().write(pooled(sim, "x"));
     EXPECT_FALSE(delivered);  // not until events run
     sim.run();
     EXPECT_TRUE(delivered);
@@ -47,11 +53,8 @@ TEST(Pipe, PreservesWriteOrder) {
     Simulator sim;
     Pipe pipe{sim};
     std::string received;
-    pipe.b().onData([&](util::ByteView data) { received.append(data.begin(), data.end()); });
-    for (const char* chunk : {"a", "b", "c", "d"}) {
-        const auto bytes = toBytes(chunk);
-        pipe.a().write({bytes.data(), bytes.size()});
-    }
+    pipe.b().onData([&](util::SharedBytes data) { append(received, data); });
+    for (const char* chunk : {"a", "b", "c", "d"}) pipe.a().write(pooled(sim, chunk));
     sim.run();
     EXPECT_EQ(received, "abcd");
 }
@@ -60,9 +63,8 @@ TEST(Pipe, LatencyApplied) {
     Simulator sim;
     Pipe pipe{sim, millis(5)};
     SimTime deliveredAt{-1};
-    pipe.b().onData([&](util::ByteView) { deliveredAt = sim.now(); });
-    const auto data = toBytes("x");
-    pipe.a().write({data.data(), data.size()});
+    pipe.b().onData([&](util::SharedBytes) { deliveredAt = sim.now(); });
+    pipe.a().write(pooled(sim, "x"));
     sim.run();
     EXPECT_EQ(deliveredAt, millis(5));
 }
@@ -70,8 +72,7 @@ TEST(Pipe, LatencyApplied) {
 TEST(Pipe, WriteWithoutHandlerIsDropped) {
     Simulator sim;
     Pipe pipe{sim};
-    const auto data = toBytes("lost");
-    pipe.a().write({data.data(), data.size()});
+    pipe.a().write(pooled(sim, "lost"));
     EXPECT_NO_FATAL_FAILURE(sim.run());
 }
 
@@ -79,17 +80,17 @@ TEST(Pipe, WriteWithoutHandlerEarlyOutsAndCounts) {
     obs::RunContext context;
     Simulator sim;
     Pipe pipe{sim};
-    const auto data = toBytes("lost");
-    pipe.a().write({data.data(), data.size()});
-    // The early-out skips the copy AND the delivery event; the dropped
-    // bytes stay visible in the counter.
+    const util::SharedBytes data = pooled(sim, "lost");
+    pipe.a().write(data);
+    // The early-out skips the delivery event; the dropped bytes stay
+    // visible in the counter.
     EXPECT_EQ(sim.pendingEvents(), 0u);
     EXPECT_EQ(obs::Registry::instance().counter("sim.pipe.dropped_no_handler").value(),
               data.size());
     // Once a handler is installed, writes flow again.
     std::string received;
-    pipe.b().onData([&](util::ByteView view) { received.append(view.begin(), view.end()); });
-    pipe.a().write({data.data(), data.size()});
+    pipe.b().onData([&](util::SharedBytes delivered) { append(received, delivered); });
+    pipe.a().write(data);
     sim.run();
     EXPECT_EQ(received, "lost");
     EXPECT_EQ(obs::Registry::instance().counter("sim.pipe.dropped_no_handler").value(),
@@ -99,11 +100,10 @@ TEST(Pipe, WriteWithoutHandlerEarlyOutsAndCounts) {
 TEST(Pipe, DeliveryRecyclesPooledBuffers) {
     Simulator sim;
     Pipe pipe{sim};
-    pipe.b().onData([](util::ByteView) {});
-    const auto data = toBytes("steady-state frame");
-    pipe.a().write({data.data(), data.size()});
-    sim.run();  // first write allocates; delivery returns it to the pool
-    pipe.a().write({data.data(), data.size()});
+    pipe.b().onData([](util::SharedBytes) {});
+    pipe.a().write(pooled(sim, "steady-state frame"));
+    sim.run();  // first copy allocates; delivery returns it to the pool
+    pipe.a().write(pooled(sim, "steady-state frame"));
     sim.run();
     EXPECT_EQ(sim.bufferPool().allocations(), 1u);
     EXPECT_EQ(sim.bufferPool().reuses(), 1u);
@@ -113,7 +113,7 @@ TEST(Pipe, SharedWriteDeliversTheSameCoreZeroCopy) {
     Simulator sim;
     Pipe pipe{sim};
     util::SharedBytes delivered;
-    pipe.b().onDataShared([&](util::SharedBytes data) { delivered = std::move(data); });
+    pipe.b().onData([&](util::SharedBytes data) { delivered = std::move(data); });
 
     util::Bytes frame = sim.bufferPool().acquire(std::size_t{64});
     for (std::size_t i = 0; i < frame.size(); ++i) frame[i] = std::uint8_t(i);
@@ -132,44 +132,14 @@ TEST(Pipe, SharedWriteDeliversTheSameCoreZeroCopy) {
     EXPECT_EQ(sim.bufferPool().pooledBuffers(), 1u);  // capacity recycled
 }
 
-TEST(Pipe, SharedWriteToViewReceiverDegradesGracefully) {
-    Simulator sim;
-    Pipe pipe{sim};
-    std::string received;
-    pipe.b().onData([&](util::ByteView data) { received.append(data.begin(), data.end()); });
-    const auto text = toBytes("still works");
-    pipe.a().write(sim.bufferPool().acquireShared({text.data(), text.size()}));
-    sim.run();
-    EXPECT_EQ(received, "still works");
-}
-
-TEST(Pipe, ViewWriteToSharedReceiverHandsOverThePooledCopy) {
-    Simulator sim;
-    Pipe pipe{sim};
-    util::SharedBytes delivered;
-    pipe.b().onDataShared([&](util::SharedBytes data) { delivered = std::move(data); });
-    const auto text = toBytes("copied once");
-    pipe.a().write({text.data(), text.size()});
-    sim.run();
-    ASSERT_EQ(delivered.size(), text.size());
-    EXPECT_EQ(delivered.refCount(), 1u);
-    // The pooled copy recycles through the shared path, keeping the
-    // alloc-once steady state of DeliveryRecyclesPooledBuffers.
-    delivered.reset();
-    pipe.a().write({text.data(), text.size()});
-    sim.run();
-    EXPECT_EQ(sim.bufferPool().allocations(), 1u);
-    EXPECT_EQ(sim.bufferPool().reuses(), 1u);
-}
-
 TEST(Pipe, SharedWriteWithCorruptionStillCorrupts) {
     Simulator sim;
     Pipe pipe{sim};
     pipe.setCorruption(1.0, 7);  // flip every byte
     util::SharedBytes delivered;
-    pipe.b().onDataShared([&](util::SharedBytes data) { delivered = std::move(data); });
+    pipe.b().onData([&](util::SharedBytes data) { delivered = std::move(data); });
     const auto text = toBytes("mutate me");
-    util::SharedBytes slice = sim.bufferPool().acquireShared({text.data(), text.size()});
+    util::SharedBytes slice = sim.bufferPool().acquireShared(text);
     pipe.a().write(slice);
     sim.run();
     ASSERT_EQ(delivered.size(), text.size());
@@ -182,25 +152,13 @@ TEST(Pipe, SharedWriteWithCorruptionStillCorrupts) {
     EXPECT_EQ(differing, int(text.size()));
 }
 
-TEST(Pipe, SharedWriteWithoutHandlerIsDroppedAndCounted) {
-    obs::RunContext context;
-    Simulator sim;
-    Pipe pipe{sim};
-    const auto text = toBytes("lost");
-    pipe.a().write(sim.bufferPool().acquireShared({text.data(), text.size()}));
-    EXPECT_EQ(sim.pendingEvents(), 0u);
-    EXPECT_EQ(obs::Registry::instance().counter("sim.pipe.dropped_no_handler").value(),
-              text.size());
-}
-
 TEST(Pipe, DestroyedPipeDoesNotDeliver) {
     Simulator sim;
     bool delivered = false;
     {
         Pipe pipe{sim, millis(10)};
-        pipe.b().onData([&](util::ByteView) { delivered = true; });
-        const auto data = toBytes("x");
-        pipe.a().write({data.data(), data.size()});
+        pipe.b().onData([&](util::SharedBytes) { delivered = true; });
+        pipe.a().write(pooled(sim, "x"));
     }  // pipe destroyed with the delivery still in flight
     sim.run();
     EXPECT_FALSE(delivered);
@@ -211,12 +169,11 @@ TEST(Pipe, HandlerCanBeReplaced) {
     Pipe pipe{sim};
     int firstCount = 0;
     int secondCount = 0;
-    pipe.b().onData([&](util::ByteView) { ++firstCount; });
-    const auto data = toBytes("1");
-    pipe.a().write({data.data(), data.size()});
+    pipe.b().onData([&](util::SharedBytes) { ++firstCount; });
+    pipe.a().write(pooled(sim, "1"));
     sim.run();
-    pipe.b().onData([&](util::ByteView) { ++secondCount; });
-    pipe.a().write({data.data(), data.size()});
+    pipe.b().onData([&](util::SharedBytes) { ++secondCount; });
+    pipe.a().write(pooled(sim, "1"));
     sim.run();
     EXPECT_EQ(firstCount, 1);
     EXPECT_EQ(secondCount, 1);

@@ -8,8 +8,8 @@ namespace {
 /// Drives the chat against a scripted fake modem on the far pipe end.
 struct ChatTest : ::testing::Test {
     ChatTest() : pipe(sim), chat(sim, pipe.a(), "test") {
-        pipe.b().onData([this](util::ByteView data) {
-            lineBuffer.append(data.begin(), data.end());
+        pipe.b().onData([this](util::SharedBytes data) {
+            lineBuffer.append(data.view().begin(), data.view().end());
             const auto cr = lineBuffer.find('\r');
             if (cr == std::string::npos) return;
             const std::string command = lineBuffer.substr(0, cr);
@@ -20,7 +20,8 @@ struct ChatTest : ::testing::Test {
 
     void modemSays(const std::string& text) {
         const std::string framed = "\r\n" + text + "\r\n";
-        pipe.b().write({reinterpret_cast<const std::uint8_t*>(framed.data()), framed.size()});
+        pipe.b().write(sim.bufferPool().acquireShared(
+            {reinterpret_cast<const std::uint8_t*>(framed.data()), framed.size()}));
     }
 
     sim::Simulator sim;

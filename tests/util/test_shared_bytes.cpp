@@ -61,31 +61,6 @@ TEST(SharedBytes, CopyAssignReplacesExistingReference) {
     EXPECT_EQ(a.refCount(), 2u);
 }
 
-TEST(SharedBytes, CopyDuplicatesTheBytes) {
-    Bytes original = sequence(8);
-    SharedBytes slice = SharedBytes::copy({original.data(), original.size()});
-    original[0] = 0xff;
-    EXPECT_EQ(slice.view()[0], 0);  // detached from the source
-}
-
-TEST(SharedBytes, SliceSharesAndClamps) {
-    SharedBytes whole = SharedBytes::wrap(sequence(32));
-    SharedBytes mid = whole.slice(8, 16);
-    EXPECT_EQ(mid.size(), 16u);
-    EXPECT_EQ(mid.view()[0], 8);
-    EXPECT_EQ(whole.refCount(), 2u);
-
-    SharedBytes clamped = whole.slice(24, 100);
-    EXPECT_EQ(clamped.size(), 8u);
-    SharedBytes past = whole.slice(64, 4);
-    EXPECT_TRUE(past.empty());
-
-    // A sub-slice keeps the core alive after the original drops.
-    whole.reset();
-    EXPECT_EQ(mid.refCount(), 2u);  // mid + clamped
-    EXPECT_EQ(mid.view()[15], 23);
-}
-
 /// Recycler stub: records which cores came back instead of freeing.
 class RecordingRecycler final : public SharedBytesRecycler {
   public:
