@@ -170,14 +170,6 @@ void BearerLink::clear() {
     ++epoch_;
 }
 
-namespace {
-/// Metric family tag for one bearer: "bearer.<imsi>" when the session's
-/// IMSI is known, the legacy "bearer" for standalone (test) bearers.
-std::string bearerTag(const std::string& imsi) {
-    return imsi.empty() ? std::string{"bearer"} : "bearer." + imsi;
-}
-}  // namespace
-
 RadioBearer::RadioBearer(sim::Simulator& simulator, const OperatorProfile& profile,
                          util::RandomStream rng, std::string imsi, CellCapacity* cell)
     : sim_(simulator),
@@ -185,7 +177,7 @@ RadioBearer::RadioBearer(sim::Simulator& simulator, const OperatorProfile& profi
       rng_(std::move(rng)),
       imsi_(std::move(imsi)),
       cell_(cell),
-      family_("umts." + bearerTag(imsi_)),
+      family_("umts.bearer." + imsi_),
       nameLease_(obs::Registry::instance(), family_),
       log_(family_),
       uplink_(simulator,
@@ -199,7 +191,7 @@ RadioBearer::RadioBearer(sim::Simulator& simulator, const OperatorProfile& profi
                   profile.residualLossProbability,
                   profile.badStateRateFactor,
               },
-              rng_.derive("ul"), bearerTag(imsi_) + ".ul"),
+              rng_.derive("ul"), "bearer." + imsi_ + ".ul"),
       downlink_(simulator,
                 BearerLink::Params{
                     profile.downlinkRateBps,
@@ -211,7 +203,7 @@ RadioBearer::RadioBearer(sim::Simulator& simulator, const OperatorProfile& profi
                     profile.residualLossProbability,
                     profile.badStateRateFactor,
                 },
-                rng_.derive("dl"), bearerTag(imsi_) + ".dl"),
+                rng_.derive("dl"), "bearer." + imsi_ + ".dl"),
       rateIndex_(profile.initialUplinkIndex),
       metrics_([this] {
           MetricNames name{family_};
@@ -264,8 +256,7 @@ void RadioBearer::touchRrc() {
         metrics_.rrcPromotions.inc();
         obs::Tracer::instance().instant("umts.rrc", "promotion", "CELL_FACH -> CELL_DCH");
         if (auto* recorder = obs::FlightRecorder::currentIfEnabled())
-            recorder->noteTransition("umts.rrc", imsi_.empty() ? family_ : imsi_,
-                                     "CELL_FACH -> CELL_DCH");
+            recorder->noteTransition("umts.rrc", imsi_, "CELL_FACH -> CELL_DCH");
         const sim::SimTime ready = sim_.now() + profile_.fachPromotionDelay;
         uplink_.holdService(ready);
         downlink_.holdService(ready);
@@ -285,8 +276,7 @@ void RadioBearer::armRrcIdleTimer() {
             rrcState_ = RrcState::cell_fach;
             obs::Tracer::instance().instant("umts.rrc", "demotion", "CELL_DCH -> CELL_FACH");
             if (auto* recorder = obs::FlightRecorder::currentIfEnabled())
-                recorder->noteTransition("umts.rrc", imsi_.empty() ? family_ : imsi_,
-                                         "CELL_DCH -> CELL_FACH");
+                recorder->noteTransition("umts.rrc", imsi_, "CELL_DCH -> CELL_FACH");
             log_.debug() << "CELL_DCH -> CELL_FACH (idle)";
         } else {
             armRrcIdleTimer();

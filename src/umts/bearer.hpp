@@ -110,8 +110,8 @@ class BearerLink {
     BearerStats stats_;
 
     // Registry-backed mirrors of BearerStats, named "umts.<tag>.*"
-    // (e.g. umts.bearer.ul.dropped_overflow); shared by name across
-    // bearer instances, so they aggregate over a whole run.
+    // (e.g. umts.bearer.<imsi>.ul.dropped_overflow); shared by name
+    // across link instances with the same tag.
     struct Metrics {
         obs::Counter& chunksIn;
         obs::Counter& chunksDelivered;
@@ -135,15 +135,14 @@ class BearerLink {
 /// denied when the pool is dry — the bearer then waits and is
 /// re-granted the moment another UE releases capacity (detach or
 /// downgrade) — and the downlink is trimmed against a guaranteed
-/// floor. With a non-empty `imsi` all metrics live under the
-/// per-instance prefix "umts.bearer.<imsi>.*" and the prefix is
-/// exclusively leased for the bearer's lifetime, so two bearers can
-/// never silently alias each other's counters.
+/// floor. All metrics live under the per-instance prefix
+/// "umts.bearer.<imsi>.*" and the prefix is exclusively leased for the
+/// bearer's lifetime, so two bearers can never silently alias each
+/// other's counters.
 class RadioBearer {
   public:
     RadioBearer(sim::Simulator& simulator, const OperatorProfile& profile,
-                util::RandomStream rng, std::string imsi = "",
-                CellCapacity* cell = nullptr);
+                util::RandomStream rng, std::string imsi, CellCapacity* cell = nullptr);
     ~RadioBearer();
 
     RadioBearer(const RadioBearer&) = delete;
@@ -280,8 +279,8 @@ class RadioBearer {
     sim::EventHandle rrcIdleTimer_;
 
     // Registry-backed rate-adaptation / RRC / contention counters,
-    // named "umts.bearer.<imsi>.*" (or the legacy "umts.bearer.*"
-    // when no imsi is given); registered as one family off `family_`.
+    // named "umts.bearer.<imsi>.*"; registered as one family off
+    // `family_`.
     struct Metrics {
         obs::Counter& upgrades;
         obs::Counter& downgrades;

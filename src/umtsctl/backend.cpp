@@ -455,8 +455,7 @@ namespace {
 
 /// True when `name` is a per-session bearer metric belonging to a
 /// session other than `ownImsi`: "umts.bearer.<token>.*" with an
-/// all-digit token. Non-digit second segments (the legacy "ul"/"dl"
-/// aggregates) and every other namespace are node-wide.
+/// all-digit token (an IMSI). Every other name is node-wide.
 bool belongsToOtherSession(const std::string& name, const std::string& ownImsi) {
     constexpr const char* prefix = "umts.bearer.";
     constexpr std::size_t prefixLen = 12;

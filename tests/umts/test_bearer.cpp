@@ -136,7 +136,7 @@ OperatorProfile onDemandProfile() {
 
 TEST(RadioBearer, StartsAtInitialRate) {
     sim::Simulator sim;
-    RadioBearer bearer{sim, onDemandProfile(), util::RandomStream{1}};
+    RadioBearer bearer{sim, onDemandProfile(), util::RandomStream{1}, "222880000000101"};
     EXPECT_DOUBLE_EQ(bearer.currentUplinkRateBps(), 144e3);
     EXPECT_EQ(bearer.upgradeCount(), 0);
 }
@@ -144,7 +144,7 @@ TEST(RadioBearer, StartsAtInitialRate) {
 TEST(RadioBearer, SustainedSaturationTriggersUpgradeAfterGrantDelay) {
     sim::Simulator sim;
     const OperatorProfile profile = onDemandProfile();
-    RadioBearer bearer{sim, profile, util::RandomStream{1}};
+    RadioBearer bearer{sim, profile, util::RandomStream{1}, "222880000000102"};
     std::optional<double> upgradeAt;
     bearer.onUplinkRateChange = [&](double oldRate, double newRate) {
         if (newRate > oldRate) upgradeAt = sim::toSeconds(sim.now());
@@ -165,7 +165,7 @@ TEST(RadioBearer, SustainedSaturationTriggersUpgradeAfterGrantDelay) {
 
 TEST(RadioBearer, NoUpgradeWithoutSaturation) {
     sim::Simulator sim;
-    RadioBearer bearer{sim, onDemandProfile(), util::RandomStream{1}};
+    RadioBearer bearer{sim, onDemandProfile(), util::RandomStream{1}, "222880000000103"};
     bearer.setUplinkSink([](const util::SharedBytes&) {});
     // A VoIP-class load (~100 pkt/s of 130 B) never fills the buffer.
     for (int i = 0; i < 10 * 100; ++i)
@@ -179,7 +179,7 @@ TEST(RadioBearer, NoAdaptationWhenDisabled) {
     sim::Simulator sim;
     OperatorProfile profile = onDemandProfile();
     profile.onDemandAllocation = false;
-    RadioBearer bearer{sim, profile, util::RandomStream{1}};
+    RadioBearer bearer{sim, profile, util::RandomStream{1}, "222880000000104"};
     bearer.setUplinkSink([](const util::SharedBytes&) {});
     for (int i = 0; i < 10 * 35; ++i)
         sim.schedule(sim::millis(i * 28.0), [&] { bearer.sendUplink(util::Bytes(1052, 0)); });
@@ -191,7 +191,7 @@ TEST(RadioBearer, DowngradesAfterIdle) {
     sim::Simulator sim;
     OperatorProfile profile = onDemandProfile();
     profile.downgradeIdle = sim::seconds(3.0);
-    RadioBearer bearer{sim, profile, util::RandomStream{1}};
+    RadioBearer bearer{sim, profile, util::RandomStream{1}, "222880000000105"};
     bearer.setUplinkSink([](const util::SharedBytes&) {});
     std::vector<double> rates;
     bearer.onUplinkRateChange = [&](double, double newRate) { rates.push_back(newRate); };
@@ -211,7 +211,7 @@ TEST(RadioBearer, RrcDemotesAfterIdleAndPromotionDelaysFirstPacket) {
     OperatorProfile profile = onDemandProfile();
     profile.dchIdleTimeout = sim::seconds(3.0);
     profile.fachPromotionDelay = sim::millis(650);
-    RadioBearer bearer{sim, profile, util::RandomStream{1}};
+    RadioBearer bearer{sim, profile, util::RandomStream{1}, "222880000000106"};
     std::vector<double> arrivals;
     bearer.setUplinkSink([&](const util::SharedBytes&) { arrivals.push_back(sim::toSeconds(sim.now())); });
 
@@ -244,7 +244,7 @@ TEST(RadioBearer, SteadyTrafficNeverDemotes) {
     sim::Simulator sim;
     OperatorProfile profile = onDemandProfile();
     profile.dchIdleTimeout = sim::seconds(2.0);
-    RadioBearer bearer{sim, profile, util::RandomStream{1}};
+    RadioBearer bearer{sim, profile, util::RandomStream{1}, "222880000000107"};
     bearer.setUplinkSink([](const util::SharedBytes&) {});
     for (int i = 0; i < 20; ++i)
         sim.schedule(sim::millis(500.0 * i), [&] { bearer.sendUplink(util::Bytes(100, 0)); });
@@ -258,7 +258,7 @@ TEST(RadioBearer, RrcDisabledStaysDch) {
     OperatorProfile profile = onDemandProfile();
     profile.rrcStates = false;
     profile.dchIdleTimeout = sim::seconds(1.0);
-    RadioBearer bearer{sim, profile, util::RandomStream{1}};
+    RadioBearer bearer{sim, profile, util::RandomStream{1}, "222880000000108"};
     bearer.setUplinkSink([](const util::SharedBytes&) {});
     sim.runUntil(sim::seconds(5.0));
     EXPECT_EQ(bearer.rrcState(), RadioBearer::RrcState::cell_dch);
@@ -271,7 +271,7 @@ TEST(RadioBearer, DownlinkTrafficAlsoPromotes) {
     sim::Simulator sim;
     OperatorProfile profile = onDemandProfile();
     profile.dchIdleTimeout = sim::seconds(2.0);
-    RadioBearer bearer{sim, profile, util::RandomStream{1}};
+    RadioBearer bearer{sim, profile, util::RandomStream{1}, "222880000000109"};
     bearer.setDownlinkSink([](const util::SharedBytes&) {});
     sim.runUntil(sim::seconds(5.0));
     ASSERT_EQ(bearer.rrcState(), RadioBearer::RrcState::cell_fach);
@@ -282,7 +282,7 @@ TEST(RadioBearer, DownlinkTrafficAlsoPromotes) {
 
 TEST(RadioBearer, DownlinkIndependentOfUplink) {
     sim::Simulator sim;
-    RadioBearer bearer{sim, onDemandProfile(), util::RandomStream{1}};
+    RadioBearer bearer{sim, onDemandProfile(), util::RandomStream{1}, "222880000000110"};
     int downDelivered = 0;
     bearer.setDownlinkSink([&](const util::SharedBytes&) { ++downDelivered; });
     bearer.sendDownlink(util::Bytes(1000, 0));
@@ -295,7 +295,7 @@ TEST(RadioBearer, DownlinkIndependentOfUplink) {
 
 TEST(RadioBearer, ShutdownStopsEverything) {
     sim::Simulator sim;
-    RadioBearer bearer{sim, onDemandProfile(), util::RandomStream{1}};
+    RadioBearer bearer{sim, onDemandProfile(), util::RandomStream{1}, "222880000000111"};
     int delivered = 0;
     bearer.setUplinkSink([&](const util::SharedBytes&) { ++delivered; });
     bearer.sendUplink(util::Bytes(1000, 0));
