@@ -13,9 +13,9 @@ namespace {
 thread_local Profiler* currentProfiler = nullptr;
 
 constexpr const char* kCategoryNames[kProfileCategoryCount] = {
-    "sim.run",  "sim.event", "ppp.hdlc_encode", "ppp.hdlc_decode", "ppp.fcs16",
-    "umts.rlc_queue", "sim.pipe", "ppp.pppd", "supervise", "obs.export",
-    "ditg.decode", "scenario.harness",
+    "sim.run",  "sim.event", "ppp.hdlc_encode", "ppp.hdlc_decode", "umts.rlc_queue",
+    "sim.pipe", "ppp.pppd",  "supervise",       "obs.export",      "ditg.decode",
+    "scenario.harness",
 };
 
 std::int64_t steadyNowNs() {

@@ -10,7 +10,8 @@ class Registry;
 
 /// Fixed category set the profiler attributes wall-time to: the event
 /// core plus the datapath stages the ROADMAP throughput item needs
-/// decomposed (HDLC escape/deframe, FCS16, RLC queue, pipe, pppd).
+/// decomposed (HDLC escape/deframe with the fused FCS, RLC queue,
+/// pipe, pppd).
 /// Fixed at compile time so scope enter/leave is an array index, the
 /// export structure is byte-stable, and hot paths never hash a name.
 enum class ProfileCategory : std::uint8_t {
@@ -18,8 +19,6 @@ enum class ProfileCategory : std::uint8_t {
     sim_event,    ///< dispatch batches of fired events not claimed by a deeper stage
     hdlc_encode,  ///< PPP frame build + escaping
     hdlc_decode,  ///< PPP deframing/unescaping
-    fcs16,        ///< retired: FCS now fused into hdlc_* scans; kept so
-                  ///< the profile.json export shape stays byte-stable
     rlc_queue,    ///< RLC enqueue + TTI service
     pipe,         ///< serial byte pipe copy/corrupt/deliver
     pppd,         ///< pppd frame dispatch and control protocols

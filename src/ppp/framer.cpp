@@ -129,7 +129,7 @@ const std::uint8_t* findSpecial(const std::uint8_t* p, const std::uint8_t* end) 
 void encodeFrameInto(Protocol protocol, util::ByteView info, const FramerConfig& config,
                      util::Bytes& out) {
     // The FCS is folded into the escape scan, so the whole encode bills
-    // to hdlc_encode (the ppp.fcs16 category stays for export shape).
+    // to hdlc_encode.
     obs::ProfileScope scope(obs::ProfileCategory::hdlc_encode);
     const EscapeMap& map = escapeMapFor(config.sendAccm);
     out.clear();

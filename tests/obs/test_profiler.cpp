@@ -121,8 +121,7 @@ TEST(Profiler, ExportJsonIsDeterministicUnderAFakeClock) {
 
 TEST(Profiler, FusedFramerBillsToHdlcNotFcs16) {
     // The FCS is computed inside the framer's escape scan, so a frame
-    // round-trip opens hdlc_* scopes only; ppp.fcs16 stays at zero (the
-    // category survives in the export for byte-stable profile.json).
+    // round-trip opens hdlc_* scopes only.
     Profiler profiler;
     Profiler* previous = Profiler::setCurrent(&profiler);
     profiler.setEnabled(true);
@@ -138,8 +137,14 @@ TEST(Profiler, FusedFramerBillsToHdlcNotFcs16) {
     ASSERT_EQ(decoded, 1);
     EXPECT_EQ(profiler.scopeCount(ProfileCategory::hdlc_encode), 1u);
     EXPECT_EQ(profiler.scopeCount(ProfileCategory::hdlc_decode), 1u);
-    EXPECT_EQ(profiler.scopeCount(ProfileCategory::fcs16), 0u);
-    EXPECT_EQ(profiler.selfNs(ProfileCategory::fcs16), 0);
+    for (std::size_t c = 0; c < kProfileCategoryCount; ++c) {
+        const auto category = ProfileCategory(c);
+        if (category == ProfileCategory::hdlc_encode ||
+            category == ProfileCategory::hdlc_decode)
+            continue;
+        EXPECT_EQ(profiler.scopeCount(category), 0u) << profileCategoryName(category);
+        EXPECT_EQ(profiler.selfNs(category), 0) << profileCategoryName(category);
+    }
 }
 
 TEST(Profiler, ReenablingRestartsTheWindow) {
