@@ -33,6 +33,7 @@
 #include "ppp/lcp.hpp"
 #include "scenario/fleet.hpp"
 #include "sweep_runner.hpp"
+#include "util/strings.hpp"
 
 using namespace onelab;
 
@@ -330,8 +331,9 @@ CellResult runCell(const AdvOptions& options, adversary::PersonalityKind kind,
     fleet.runFor(sim::seconds(30.0));
     umts::CellCapacity& cellPool = fleet.operatorNetwork().cell();
     if (cellPool.uplinkAllocatedBps() != 0.0 || cellPool.downlinkAllocatedBps() != 0.0)
-        return fail("capacity leak after full stop: uplink " +
-                    std::to_string(cellPool.uplinkAllocatedBps()) + " bps");
+        return fail(util::format("capacity leak after full stop: uplink %g bps, downlink %g bps",
+                                 cellPool.uplinkAllocatedBps(),
+                                 cellPool.downlinkAllocatedBps()));
     for (std::size_t i = 0; i < fleet.umtsSiteCount(); ++i) {
         const umtsctl::UmtsState& state = fleet.umtsSite(i).backend().state();
         if (state.locked && !state.connected)

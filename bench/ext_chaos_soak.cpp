@@ -36,6 +36,7 @@
 #include "ppp/lcp.hpp"
 #include "scenario/fleet.hpp"
 #include "sweep_runner.hpp"
+#include "util/strings.hpp"
 
 using namespace onelab;
 
@@ -229,9 +230,9 @@ SoakOutcome runSoak(const SoakOptions& options, std::uint64_t seed,
     fleet.runFor(sim::seconds(30.0));
     umts::CellCapacity& cell = fleet.operatorNetwork().cell();
     if (cell.uplinkAllocatedBps() != 0.0 || cell.downlinkAllocatedBps() != 0.0)
-        return fail("capacity leak: uplink " + std::to_string(cell.uplinkAllocatedBps()) +
-                    " bps, downlink " + std::to_string(cell.downlinkAllocatedBps()) +
-                    " bps still allocated after full stop");
+        return fail(util::format("capacity leak: uplink %g bps, downlink %g bps still "
+                                 "allocated after full stop",
+                                 cell.uplinkAllocatedBps(), cell.downlinkAllocatedBps()));
 
     harnessScope.reset();
     obs::Tracer::instance().setEnabled(false);

@@ -1,6 +1,7 @@
 #include "umts/cell.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <vector>
 
 namespace onelab::umts {
@@ -102,7 +103,13 @@ void CellCapacity::setCapacityScale(double scale) {
 }
 
 double CellCapacity::admitDownlink(double desiredBps, double floorBps) {
-    const double granted = std::max(floorBps, std::min(desiredBps, downlinkAvailableBps()));
+    // A grant trimmed to a squeezed pool's fractional headroom is
+    // rounded down to whole bps: sums and differences of whole-bps
+    // grants are exact in doubles, so releasing them in any order
+    // drains the pool to exactly zero.
+    const double headroom = downlinkAvailableBps();
+    const double granted =
+        std::max(floorBps, desiredBps <= headroom ? desiredBps : std::floor(headroom));
     if (granted < desiredBps) {
         countTrimmedAdmission();
         log_.info() << "downlink admission trimmed: " << desiredBps / 1e3 << " -> "

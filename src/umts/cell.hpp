@@ -69,8 +69,9 @@ class CellCapacity {
     [[nodiscard]] double downlinkAllocatedBps() const noexcept { return downlinkAllocatedBps_; }
     [[nodiscard]] double downlinkAvailableBps() const noexcept;
 
-    /// Admit a downlink bearer: grants min(desired, headroom) but
-    /// never less than `floorBps`. Returns the granted rate.
+    /// Admit a downlink bearer: grants min(desired, headroom), with a
+    /// trimmed grant rounded down to whole bps, but never less than
+    /// `floorBps`. Returns the granted rate.
     [[nodiscard]] double admitDownlink(double desiredBps, double floorBps);
     void releaseDownlink(double bps);
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -47,6 +48,25 @@ TEST(CellCapacity, DownlinkAdmissionTrimsToHeadroomButNotBelowFloor) {
     EXPECT_DOUBLE_EQ(cell.downlinkAllocatedBps(), 1084e3);
     cell.releaseDownlink(700e3);
     EXPECT_DOUBLE_EQ(cell.admitDownlink(500e3, 384e3), 500e3);
+}
+
+TEST(CellCapacity, SqueezedPoolDrainsToExactlyZeroInAnyOrder) {
+    // Commercial-profile rates: 1.8 Mbps grants over a 384 kbps floor.
+    CellCapacity cell{768e3, 7.2e6};
+    cell.setCapacityScale(0.563);  // ~4.05 Mbps of downlink budget
+    std::vector<double> grants;
+    for (int i = 0; i < 4; ++i) grants.push_back(cell.admitDownlink(1.8e6, 384e3));
+    // Two full grants, one trimmed to the fractional headroom left,
+    // then a floor grant that oversubscribes the pool.
+    EXPECT_EQ(grants[0], 1.8e6);
+    EXPECT_EQ(grants[1], 1.8e6);
+    EXPECT_LT(grants[2], 1.8e6);
+    EXPECT_EQ(grants[2], std::floor(grants[2]));  // whole bps
+    EXPECT_EQ(grants[3], 384e3);
+    // Drain newest first, not in grant order: exactly empty, no residue.
+    for (auto grant = grants.rbegin(); grant != grants.rend(); ++grant)
+        cell.releaseDownlink(*grant);
+    EXPECT_EQ(cell.downlinkAllocatedBps(), 0.0);
 }
 
 TEST(CellCapacity, ContentionCountersAccumulate) {
