@@ -124,7 +124,8 @@ class UmtsModem {
     sim::EventHandle registrationRetry_;
 
     // Re-registration backoff: 5 s after the first failure, doubling
-    // to a cap — a commercial card never hammers a refusing SGSN.
+    // to a cap — a commercial card never hammers a refusing SGSN. A
+    // barred attach (access class barring) always retries after 5 s.
     static constexpr sim::SimTime kRegistrationRetryInitial = sim::seconds(5.0);
     static constexpr sim::SimTime kRegistrationRetryMax = sim::seconds(80.0);
     static constexpr sim::SimTime kBootDelay = sim::seconds(2.0);
