@@ -4,6 +4,8 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <tuple>
+#include <utility>
 
 #include "net/dns.hpp"
 #include "net/internet.hpp"
@@ -206,9 +208,21 @@ class UmtsNetwork {
         sim::SimTime last{0};
         std::uint32_t src = 0;
     };
+    using FlowTable = std::map<std::string, FlowEntry>;
+    /// Idle order: last activity, then key. Its front is the entry a
+    /// full scan with strict `<` in key order would pick, so eviction
+    /// and the expired purge pop the front instead of scanning.
+    struct FlowIdleOrder {
+        bool operator()(FlowTable::iterator a, FlowTable::iterator b) const noexcept {
+            return std::tie(a->second.last, a->first) < std::tie(b->second.last, b->first);
+        }
+    };
     void recordFlow(const std::string& key, std::uint32_t src);
-    void eraseFlow(const std::map<std::string, FlowEntry>::iterator& it);
-    std::map<std::string, FlowEntry> flows_;
+    /// Every write of FlowEntry::last goes through here (re-keys the index).
+    void touchFlow(FlowTable::iterator it, sim::SimTime now);
+    void eraseFlow(FlowTable::iterator it);
+    FlowTable flows_;
+    std::set<FlowTable::iterator, FlowIdleOrder> flowsByIdle_;
     std::map<std::uint32_t, std::size_t> flowsBySrc_;
     sim::SimTime flowTimeout_ = sim::seconds(300.0);
     std::uint64_t firewallBlocked_ = 0;
@@ -224,11 +238,16 @@ class UmtsNetwork {
         sim::SimTime lastActivity{0};
         std::string flowKey;  ///< the natByFlow_ entry to drop with this binding
     };
-    void dropNatBinding(const std::map<std::uint32_t, NatBinding>::iterator& it);
+    using NatTable = std::map<std::uint32_t, NatBinding>;  ///< key: proto<<16 | publicPort
+    /// Every write of NatBinding::lastActivity goes through here.
+    void touchNatBinding(NatTable::iterator it, sim::SimTime now);
+    void dropNatBinding(NatTable::iterator it);
     /// Make room for one more binding for `subscriber`. Returns false
     /// when the per-subscriber quota denies the allocation.
     bool reserveNatBinding(net::Ipv4Address subscriber);
-    std::map<std::uint32_t, NatBinding> natBindings_;   ///< key: proto<<16 | publicPort
+    NatTable natBindings_;
+    /// Idle order (last activity, key), popped from the front like flowsByIdle_.
+    std::set<std::pair<sim::SimTime, std::uint32_t>> natByIdle_;
     std::map<std::string, std::uint16_t> natByFlow_;    ///< subscriber flow -> public port
     std::map<std::uint32_t, std::size_t> natBySubscriber_;
     std::uint16_t nextNatPort_ = 20000;
