@@ -1,8 +1,9 @@
 // Microbenchmarks of the node data path. Two families:
 //
-//  - Packet path: policy routing resolution, netfilter traversal, and
-//    the full send path with the paper's isolation rule set installed
-//    (the per-packet cost of the umts command's policy).
+//  - Packet path: policy routing resolution, netfilter traversal, the
+//    operator firewall's new-flow cost at its table cap, and the full
+//    send path with the paper's isolation rule set installed (the
+//    per-packet cost of the umts command's policy).
 //
 //  - Framed byte path: HDLC encode/deframe goodput of the vectorized
 //    framer (bulk run scan + fused FCS) against an in-file replica of
@@ -33,6 +34,7 @@
 #include "ppp/framer.hpp"
 #include "sim/pipe.hpp"
 #include "sim/simulator.hpp"
+#include "umts/network.hpp"
 #include "util/strings.hpp"
 
 namespace {
@@ -79,6 +81,34 @@ void BM_NetfilterChain(benchmark::State& state) {
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_NetfilterChain)->Arg(1)->Arg(8)->Arg(64);
+
+/// One new flow into the operator firewall's full flow table with the
+/// per-subscriber quota off (a flow spray): the cap's expired purge and
+/// oldest-flow eviction, plus the flow key and table insert. The clock
+/// advances 1 us per flow, so the evicted flow is the oldest one.
+void BM_FirewallNewFlowAtCap(benchmark::State& state) {
+    const auto cap = std::size_t(state.range(0));
+    sim::Simulator sim;
+    net::Internet internet{sim, util::RandomStream{5}};
+    umts::OperatorProfile profile = umts::commercialItalianOperator();
+    profile.natGuard.maxFirewallFlows = cap;
+    profile.natGuard.perSubscriberQuota = 0;
+    umts::UmtsNetwork network{sim, internet, profile, util::RandomStream{6}};
+    const net::Ipv4Address sprayer{10, 47, 0, 99};
+    const net::Ipv4Address dest{138, 96, 250, 20};
+    (void)network.injectFlowChurn(sprayer, dest, 0, cap);
+    // The churn hook rotates through 50000 source ports, more than any
+    // cap, so every flow below is new.
+    std::size_t port = cap;
+    for (auto _ : state) {
+        sim.runUntil(sim.now() + sim::micros(1));
+        benchmark::DoNotOptimize(network.injectFlowChurn(sprayer, dest, std::uint16_t(port), 1));
+        port = (port + 1) % 50000;
+    }
+    if (network.firewallFlowCount() != cap) state.SkipWithError("flow table left its cap");
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_FirewallNewFlowAtCap)->Arg(1024)->Arg(8192);
 
 /// Full send path with and without the umts isolation rules — the
 /// cost the extension adds to every transmitted packet.

@@ -24,7 +24,8 @@ std::atomic<FlightRecorder*> crashTarget{nullptr};
 
 void copyTruncated(char* out, std::size_t capacity, std::string_view text) noexcept {
     const std::size_t n = std::min(text.size(), capacity - 1);
-    std::memcpy(out, text.data(), n);
+    // An empty view may carry a null data pointer, which memcpy rejects.
+    if (n > 0) std::memcpy(out, text.data(), n);
     out[n] = '\0';
 }
 

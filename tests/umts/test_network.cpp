@@ -2,6 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <map>
+#include <tuple>
+
+#include "obs/registry.hpp"
+#include "util/strings.hpp"
+
 namespace onelab::umts {
 namespace {
 
@@ -176,9 +184,9 @@ OperatorProfile natOperator() {
 }
 
 struct NatNetworkTest : ::testing::Test {
-    NatNetworkTest()
+    explicit NatNetworkTest(OperatorProfile profile = natOperator())
         : internet(sim, util::RandomStream{5}),
-          network(sim, internet, natOperator(), util::RandomStream{6}) {
+          network(sim, internet, std::move(profile), util::RandomStream{6}) {
         // A wired observer host.
         observerStack = std::make_unique<net::NetworkStack>(sim, "observer");
         net::Interface& eth = observerStack->addInterface("eth0");
@@ -308,6 +316,42 @@ TEST_F(NatNetworkTest, UnsolicitedInboundToPublicAddressDies) {
     network.ggsn().findInterface("wan")->deliver(std::move(intrusion));
     sim.runUntil(sim.now() + sim::seconds(1.0));
     EXPECT_EQ(network.ggsn().forwardedPackets(), 0u);
+}
+
+/// A NAT operator tuned for binding churn: no firewall state, no
+/// per-subscriber quota, and a small binding table.
+OperatorProfile churnNatOperator() {
+    OperatorProfile profile = natOperator();
+    profile.statefulFirewall = false;
+    profile.natGuard.perSubscriberQuota = 0;
+    profile.natGuard.maxBindings = 64;
+    return profile;
+}
+
+struct NatPortWrapTest : NatNetworkTest {
+    NatPortWrapTest() : NatNetworkTest(churnNatOperator()) {}
+};
+
+TEST_F(NatPortWrapTest, PublicPortsWrapBackTo20000) {
+    UmtsSession* session = bringUpSession();
+    ASSERT_NE(session, nullptr);
+    auto observer = observerStack->openUdp(0, 9001).value();
+    std::optional<net::Datagram> seen;
+    observer->onReceive([&](net::Datagram d) { seen = std::move(d); });
+
+    // Ports 20000..65535 take 45 536 bindings; 45 600 run the allocator past 65535.
+    (void)network.injectFlowChurn(net::Ipv4Address{10, 47, 0, 99},
+                                  net::Ipv4Address{138, 96, 250, 21}, 0, 45600);
+    EXPECT_EQ(network.natBindingCount(), 64u);
+
+    net::Packet outbound = net::makeUdpPacket(session->subscriberAddress(), 5000,
+                                              net::Ipv4Address{138, 96, 250, 20}, 9001,
+                                              util::Bytes{7});
+    pdpInterface()->deliver(std::move(outbound));
+    sim.runUntil(sim.now() + sim::seconds(1.0));
+    ASSERT_TRUE(seen.has_value());
+    EXPECT_EQ(seen->src, network.profile().ggsnAddress);
+    EXPECT_GE(seen->srcPort, 20000);
 }
 
 TEST_F(NetworkTest, MicrocellHasNoFirewall) {
@@ -444,6 +488,269 @@ TEST(NatGuardFlows, UnlimitedQuotaLetsChurnEvictVictim) {
     EXPECT_FALSE(network.hasFlowStateFor(victim));
     EXPECT_LE(network.firewallFlowCount(), 16u);
     EXPECT_GT(guardCounter("guard.firewall.evicted"), evictedBefore);
+}
+
+// --- idle-order eviction: firewall flow table and NAT binding table ---
+
+/// `profile` with both tables capped at `cap` and the per-subscriber
+/// quota off.
+OperatorProfile capped(OperatorProfile profile, std::size_t cap) {
+    profile.natGuard.maxFirewallFlows = cap;
+    profile.natGuard.maxBindings = cap;
+    profile.natGuard.perSubscriberQuota = 0;
+    return profile;
+}
+
+/// An operator network driven through the churn hook by subscribers
+/// 10.47.0.<host>, each holding at most one flow (UDP 5000 ->
+/// 138.96.250.20:33001 after the hook's port rotation).
+struct ChurnedOperator {
+    explicit ChurnedOperator(OperatorProfile profile)
+        : internet(sim, util::RandomStream{5}),
+          network(sim, internet, std::move(profile), util::RandomStream{6}) {}
+
+    static net::Ipv4Address subscriber(int host) {
+        return net::Ipv4Address{10, 47, 0, std::uint8_t(host)};
+    }
+    /// Send subscriber `host`'s flow (new or refresh) at `seconds`.
+    void flowAt(double seconds, int host) {
+        sim.runUntil(sim::seconds(seconds));
+        (void)network.injectFlowChurn(subscriber(host), net::Ipv4Address{138, 96, 250, 20},
+                                      5000 - 1024, 1);
+    }
+    [[nodiscard]] bool holds(int host) const { return network.hasFlowStateFor(subscriber(host)); }
+
+    sim::Simulator sim;
+    net::Internet internet;
+    UmtsNetwork network;
+};
+
+TEST(FirewallEviction, NewFlowAtCapEvictsLeastRecentlyActive) {
+    ChurnedOperator fw{capped(commercialItalianOperator(), 4)};
+    // Activity order is the reverse of key order: host 4 idles longest.
+    for (int host = 4; host >= 1; --host) fw.flowAt(5 - host, host);
+    ASSERT_EQ(fw.network.firewallFlowCount(), 4u);
+    const std::uint64_t evictedBefore = guardCounter("guard.firewall.evicted");
+    fw.flowAt(5, 5);
+    EXPECT_FALSE(fw.holds(4));
+    for (int host : {1, 2, 3, 5}) EXPECT_TRUE(fw.holds(host)) << host;
+    EXPECT_EQ(fw.network.firewallFlowCount(), 4u);
+    EXPECT_EQ(guardCounter("guard.firewall.evicted"), evictedBefore + 1);
+}
+
+TEST(FirewallEviction, RefreshMovesFlowToTheBack) {
+    ChurnedOperator fw{capped(commercialItalianOperator(), 4)};
+    for (int host = 1; host <= 4; ++host) fw.flowAt(host, host);
+    const std::uint64_t evictedBefore = guardCounter("guard.firewall.evicted");
+    fw.flowAt(5, 1);  // refresh: no new entry, nothing evicted
+    EXPECT_EQ(fw.network.firewallFlowCount(), 4u);
+    EXPECT_EQ(guardCounter("guard.firewall.evicted"), evictedBefore);
+    fw.flowAt(6, 5);
+    EXPECT_TRUE(fw.holds(1));
+    EXPECT_FALSE(fw.holds(2));
+    fw.flowAt(7, 6);
+    EXPECT_TRUE(fw.holds(1));
+    EXPECT_FALSE(fw.holds(3));
+    EXPECT_TRUE(fw.holds(4));
+    EXPECT_EQ(guardCounter("guard.firewall.evicted"), evictedBefore + 2);
+}
+
+TEST(FirewallEviction, TimestampTieEvictsFirstKey) {
+    ChurnedOperator fw{capped(commercialItalianOperator(), 4)};
+    // Hosts 4, 3, 2 tie at t=1 (inserted against key order); host 1,
+    // the first key overall, is younger and must survive.
+    for (int host : {4, 3, 2}) fw.flowAt(1, host);
+    fw.flowAt(2, 1);
+    fw.flowAt(2, 5);
+    EXPECT_FALSE(fw.holds(2));
+    for (int host : {1, 3, 4, 5}) EXPECT_TRUE(fw.holds(host)) << host;
+    fw.flowAt(2, 6);
+    EXPECT_FALSE(fw.holds(3));
+    EXPECT_TRUE(fw.holds(4));
+}
+
+TEST(FirewallEviction, ExpiredFlowsPurgedBeforeLiveEviction) {
+    ChurnedOperator fw{capped(commercialItalianOperator(), 4)};
+    fw.flowAt(10, 1);
+    fw.flowAt(11, 2);
+    fw.flowAt(200, 3);
+    fw.flowAt(200, 4);
+    const std::uint64_t evictedBefore = guardCounter("guard.firewall.evicted");
+    // At t=311 host 1 has idled 301 s (> 300 s: expired); host 2 has
+    // idled exactly 300 s and is still live.
+    fw.flowAt(311, 5);
+    EXPECT_FALSE(fw.holds(1));
+    for (int host : {2, 3, 4, 5}) EXPECT_TRUE(fw.holds(host)) << host;
+    EXPECT_EQ(fw.network.firewallFlowCount(), 4u);
+    fw.flowAt(400, 3);  // refresh host 3
+    // At t=600 hosts 2 (idle 589 s) and 4 (idle 400 s) have expired;
+    // hosts 3 (200 s) and 5 (289 s) are live and stay.
+    fw.flowAt(600, 6);
+    EXPECT_FALSE(fw.holds(2));
+    EXPECT_FALSE(fw.holds(4));
+    for (int host : {3, 5, 6}) EXPECT_TRUE(fw.holds(host)) << host;
+    EXPECT_EQ(fw.network.firewallFlowCount(), 3u);
+    // Purges are not evictions.
+    EXPECT_EQ(guardCounter("guard.firewall.evicted"), evictedBefore);
+}
+
+TEST(NatEviction, OldestIdleBindingEvictedAtCap) {
+    ChurnedOperator nat{capped(natOperator(), 3)};
+    for (int host : {3, 2, 1}) nat.flowAt(4 - host, host);
+    ASSERT_EQ(nat.network.natBindingCount(), 3u);
+    ASSERT_EQ(nat.network.natEvictions(), 0u);
+    nat.flowAt(4, 4);  // evicts host 3 (idle since t=1)
+    EXPECT_EQ(nat.network.natEvictions(), 1u);
+    nat.flowAt(5, 2);  // refresh: still bound
+    EXPECT_EQ(nat.network.natEvictions(), 1u);
+    nat.flowAt(6, 3);  // rebinds; evicts host 1 (t=3), not host 2 (t=5)
+    EXPECT_EQ(nat.network.natEvictions(), 2u);
+    for (int host : {4, 2, 3}) {
+        nat.flowAt(7, host);  // all three still bound
+        EXPECT_EQ(nat.network.natEvictions(), 2u) << host;
+    }
+    nat.flowAt(8, 1);
+    EXPECT_EQ(nat.network.natEvictions(), 3u);
+    EXPECT_EQ(nat.network.natBindingCount(), 3u);
+}
+
+TEST(NatEviction, IdleBindingsExpireAfterBindingTimeout) {
+    OperatorProfile profile = natOperator();
+    profile.natGuard.bindingTimeout = sim::seconds(60.0);
+    ChurnedOperator nat{profile};
+    const std::uint64_t expiredBefore = guardCounter("guard.nat.expired");
+    nat.flowAt(10, 1);
+    nat.flowAt(40, 2);
+    nat.flowAt(70, 3);  // host 1 idle exactly 60 s: not yet expired
+    EXPECT_EQ(nat.network.natBindingCount(), 3u);
+    EXPECT_EQ(guardCounter("guard.nat.expired"), expiredBefore);
+    nat.flowAt(71, 4);  // host 1 idle 61 s: expired
+    EXPECT_EQ(nat.network.natBindingCount(), 3u);
+    EXPECT_EQ(guardCounter("guard.nat.expired"), expiredBefore + 1);
+    nat.flowAt(100, 2);  // refresh keeps host 2 alive
+    nat.flowAt(135, 5);  // hosts 3 and 4 expire; host 2 (idle 35 s) stays
+    EXPECT_EQ(nat.network.natBindingCount(), 2u);
+    EXPECT_EQ(guardCounter("guard.nat.expired"), expiredBefore + 3);
+    EXPECT_EQ(nat.network.natEvictions(), 0u);
+}
+
+/// The flow table as a full scan keeps it: the expired purge and then
+/// the oldest-entry search walk every entry in key order, and strict
+/// `<` keeps the first key on a timestamp tie.
+class ScanFlowTable {
+  public:
+    ScanFlowTable(std::size_t cap, sim::SimTime timeout) : cap_(cap), timeout_(timeout) {}
+
+    void record(const std::string& key, std::uint32_t src, sim::SimTime now) {
+        const auto existing = flows_.find(key);
+        if (existing != flows_.end()) {
+            existing->second.last = now;
+            return;
+        }
+        if (flows_.size() >= cap_) {
+            for (auto it = flows_.begin(); it != flows_.end();) {
+                if (now - it->second.last > timeout_) {
+                    ++purged_;
+                    erase(it++);
+                } else {
+                    ++it;
+                }
+            }
+            while (flows_.size() >= cap_) {
+                auto oldest = flows_.begin();
+                for (auto it = flows_.begin(); it != flows_.end(); ++it)
+                    if (it->second.last < oldest->second.last) oldest = it;
+                ++evictions_;
+                if (std::count_if(flows_.begin(), flows_.end(), [&](const auto& flow) {
+                        return flow.second.last == oldest->second.last;
+                    }) > 1)
+                    ++tiedEvictions_;
+                erase(oldest);
+            }
+        }
+        flows_.emplace(key, Entry{now, src});
+        ++bySrc_[src];
+    }
+
+    [[nodiscard]] bool holds(std::uint32_t src) const { return bySrc_.count(src) > 0; }
+    [[nodiscard]] std::size_t size() const { return flows_.size(); }
+    [[nodiscard]] std::uint64_t evictions() const { return evictions_; }
+    [[nodiscard]] std::uint64_t tiedEvictions() const { return tiedEvictions_; }
+    [[nodiscard]] std::uint64_t purged() const { return purged_; }
+    /// The `index`-th key in key order (index < size()).
+    [[nodiscard]] const std::string& keyAt(std::size_t index) const {
+        return std::next(flows_.begin(), std::ptrdiff_t(index))->first;
+    }
+
+  private:
+    struct Entry {
+        sim::SimTime last{0};
+        std::uint32_t src = 0;
+    };
+    void erase(std::map<std::string, Entry>::iterator it) {
+        if (--bySrc_[it->second.src] == 0) bySrc_.erase(it->second.src);
+        flows_.erase(it);
+    }
+
+    std::size_t cap_;
+    sim::SimTime timeout_;
+    std::map<std::string, Entry> flows_;
+    std::map<std::uint32_t, std::size_t> bySrc_;
+    std::uint64_t evictions_ = 0;
+    std::uint64_t tiedEvictions_ = 0;  ///< evictions that broke a timestamp tie
+    std::uint64_t purged_ = 0;
+};
+
+TEST(FirewallEviction, MatchesFullScanOnRandomChurn) {
+    constexpr int kSubscribers = 6;
+    constexpr int kPorts = 40;
+    ChurnedOperator fw{capped(commercialItalianOperator(), 16)};
+    ScanFlowTable reference{16, sim::seconds(300.0)};
+    const net::Ipv4Address dest{138, 96, 250, 20};
+    // The GGSN's flow key for a churn packet (UDP, dst port 33001).
+    const auto keyFor = [&](net::Ipv4Address src, int port) {
+        return util::format("%u/%08x:%u>%08x:%u", unsigned(net::IpProto::udp), src.value(),
+                            unsigned(1024 + port), dest.value(), 33001u);
+    };
+    std::map<std::string, std::pair<int, int>> flowOf;  // key -> (host, port)
+    const std::uint64_t evictedBefore = guardCounter("guard.firewall.evicted");
+    util::RandomStream rng{20240615};
+
+    for (int op = 0; op < 2000; ++op) {
+        SCOPED_TRACE(op);
+        const std::int64_t roll = rng.uniformInt(0, 99);
+        if (roll < 30) {
+            // Advance time: ties, small steps, and jumps toward the timeout.
+            const std::int64_t step = rng.uniformInt(0, 19);
+            const double seconds = step < 10 ? 0.0 : step < 16 ? 1.0 : step < 19 ? 30.0 : 200.0;
+            fw.sim.runUntil(fw.sim.now() + sim::seconds(seconds));
+        } else {
+            int host = int(rng.uniformInt(1, kSubscribers));
+            int port = int(rng.uniformInt(0, kPorts - 1));
+            if (roll >= 75 && reference.size() > 0) {
+                // Refresh a flow the reference still holds.
+                const auto pick = rng.uniformInt(0, std::int64_t(reference.size()) - 1);
+                std::tie(host, port) = flowOf.at(reference.keyAt(std::size_t(pick)));
+            }
+            const net::Ipv4Address src = ChurnedOperator::subscriber(host);
+            const std::string key = keyFor(src, port);
+            flowOf[key] = {host, port};
+            const std::size_t before = reference.size();
+            reference.record(key, src.value(), fw.sim.now());
+            // The hook counts table growth (0 at the cap or on a refresh).
+            ASSERT_EQ(fw.network.injectFlowChurn(src, dest, std::uint16_t(port), 1),
+                      reference.size() > before ? 1u : 0u);
+        }
+        ASSERT_EQ(fw.network.firewallFlowCount(), reference.size());
+        for (int host = 1; host <= kSubscribers; ++host)
+            ASSERT_EQ(fw.holds(host), reference.holds(ChurnedOperator::subscriber(host).value()))
+                << "host " << host;
+        ASSERT_EQ(guardCounter("guard.firewall.evicted") - evictedBefore, reference.evictions());
+    }
+    // The run exercised the cap, timestamp ties and the purge.
+    EXPECT_GT(reference.evictions(), 500u);
+    EXPECT_GT(reference.tiedEvictions(), 250u);
+    EXPECT_GT(reference.purged(), 30u);
 }
 
 }  // namespace
