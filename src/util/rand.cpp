@@ -46,7 +46,12 @@ double RandomStream::exponential(double mean) {
 }
 
 double RandomStream::normal(double mean, double stddev) {
-    return std::normal_distribution<double>{mean, stddev}(engine_);
+    // Scale a standard draw instead of handing stddev to the
+    // distribution: std::normal_distribution requires stddev > 0, and
+    // jitter draws legitimately ask for 0. libstdc++ computes
+    // z * stddev + mean itself, so results for stddev > 0 are
+    // bit-identical and the engine advances the same way.
+    return mean + stddev * std::normal_distribution<double>{}(engine_);
 }
 
 double RandomStream::lognormal(double mu, double sigma) {

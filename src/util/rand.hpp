@@ -31,7 +31,7 @@ class RandomStream {
     bool chance(double probability);
     /// Exponential with given mean (mean > 0).
     double exponential(double mean);
-    /// Normal (Gaussian).
+    /// Normal (Gaussian); stddev == 0 returns mean.
     double normal(double mean, double stddev);
     /// Lognormal parameterised by the underlying normal's mu/sigma.
     double lognormal(double mu, double sigma);

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <random>
 #include <string>
 #include <utility>
 
@@ -66,6 +68,22 @@ TEST(RandomStream, ChanceEdgeCases) {
     EXPECT_TRUE(rng.chance(1.0));
     EXPECT_FALSE(rng.chance(-0.5));
     EXPECT_TRUE(rng.chance(1.5));
+}
+
+TEST(RandomStream, NormalScalesAStandardDraw) {
+    // stddev == 0 is a legal request (a jitter-free link) and must not
+    // reach std::normal_distribution, whose precondition is stddev > 0.
+    RandomStream degenerate{11};
+    for (int i = 0; i < 10; ++i) EXPECT_EQ(degenerate.normal(2.5, 0.0), 2.5);
+    // For stddev > 0 the draws are bit-identical to the library's own
+    // distribution on an identically seeded engine.
+    for (const std::uint64_t seed : {1ULL, 42ULL, 0x9e3779b97f4a7c15ULL}) {
+        RandomStream rng{seed};
+        std::mt19937_64 engine{seed};
+        for (int i = 0; i < 100; ++i)
+            EXPECT_EQ(rng.normal(100.0, 7.5),
+                      (std::normal_distribution<double>{100.0, 7.5}(engine)));
+    }
 }
 
 // The spec is a std::string, not a const char*, so that gtest prints the
