@@ -1,14 +1,10 @@
 #include "fault/plan.hpp"
 
 #include <algorithm>
-#include <cctype>
-#include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <fstream>
-#include <set>
 #include <sstream>
 
+#include "util/json.hpp"
 #include "util/rand.hpp"
 
 namespace onelab::fault {
@@ -109,95 +105,21 @@ FaultPlan FaultPlan::random(const RandomPlanConfig& config) {
 
 // ------------------------------------------------------------- JSON
 
-namespace {
-
-void appendNumber(std::string& out, double value) {
-    // Millisecond counts and magnitudes; print compactly but exactly
-    // enough to round-trip the values the generator produces.
-    char buf[64];
-    if (value == std::floor(value) && std::fabs(value) < 1e15)
-        std::snprintf(buf, sizeof buf, "%.0f", value);
-    else
-        std::snprintf(buf, sizeof buf, "%.17g", value);
-    out += buf;
-}
-
-/// Minimal JSON reader for the plan format: objects, arrays, strings
-/// (no escapes beyond \" \\), numbers. Whitespace-tolerant, rejects
-/// anything else.
-class JsonCursor {
-  public:
-    explicit JsonCursor(const std::string& text) : text_(text) {}
-
-    void skipWs() {
-        while (pos_ < text_.size() && std::isspace(static_cast<unsigned char>(text_[pos_])))
-            ++pos_;
-    }
-    [[nodiscard]] bool consume(char c) {
-        skipWs();
-        if (pos_ < text_.size() && text_[pos_] == c) {
-            ++pos_;
-            return true;
-        }
-        return false;
-    }
-    [[nodiscard]] bool peek(char c) {
-        skipWs();
-        return pos_ < text_.size() && text_[pos_] == c;
-    }
-    [[nodiscard]] bool atEnd() {
-        skipWs();
-        return pos_ >= text_.size();
-    }
-
-    [[nodiscard]] bool readString(std::string& out) {
-        if (!consume('"')) return false;
-        out.clear();
-        while (pos_ < text_.size()) {
-            const char c = text_[pos_++];
-            if (c == '"') return true;
-            if (c == '\\') {
-                if (pos_ >= text_.size()) return false;
-                out += text_[pos_++];
-            } else {
-                out += c;
-            }
-        }
-        return false;
-    }
-
-    [[nodiscard]] bool readNumber(double& out) {
-        skipWs();
-        const char* begin = text_.c_str() + pos_;
-        char* end = nullptr;
-        out = std::strtod(begin, &end);
-        if (end == begin) return false;
-        pos_ += std::size_t(end - begin);
-        return true;
-    }
-
-  private:
-    const std::string& text_;
-    std::size_t pos_ = 0;
-};
-
-}  // namespace
-
 std::string FaultPlan::toJson() const {
     std::string out = "{\n  \"events\": [";
     for (std::size_t i = 0; i < events_.size(); ++i) {
         const FaultEvent& event = events_[i];
         out += i == 0 ? "\n" : ",\n";
         out += "    {\"at_ms\": ";
-        appendNumber(out, sim::toMillis(event.at));
+        util::appendJsonNumber(out, sim::toMillis(event.at));
         out += ", \"kind\": \"";
         out += kindName(event.kind);
         out += "\", \"site\": ";
-        appendNumber(out, double(event.site));
+        util::appendJsonNumber(out, double(event.site));
         out += ", \"magnitude\": ";
-        appendNumber(out, event.magnitude);
+        util::appendJsonNumber(out, event.magnitude);
         out += ", \"duration_ms\": ";
-        appendNumber(out, sim::toMillis(event.duration));
+        util::appendJsonNumber(out, sim::toMillis(event.duration));
         out += "}";
     }
     out += events_.empty() ? "]\n}\n" : "\n  ]\n}\n";
@@ -210,80 +132,46 @@ util::Result<FaultPlan> FaultPlan::parseJson(const std::string& text) {
             util::err(util::Error::Code::protocol, "fault plan: " + what)};
     };
 
-    JsonCursor cursor{text};
-    if (!cursor.consume('{')) return fail("expected top-level object");
+    // The strict parser rejects truncation, trailing content and
+    // repeated keys: a hostile plan repeating "events" or an event
+    // field would otherwise arm a timeline other than the one it shows.
+    const auto doc = util::JsonValue::parse(text);
+    if (!doc.ok()) return fail(doc.error().message);
+    if (!doc.value().isObject()) return fail("expected top-level object");
     FaultPlan plan;
-    bool firstKey = true;
-    bool seenEvents = false;
-    while (!cursor.peek('}')) {
-        if (!firstKey && !cursor.consume(',')) return fail("expected ',' between keys");
-        firstKey = false;
-        std::string key;
-        if (!cursor.readString(key)) return fail("expected object key");
-        if (!cursor.consume(':')) return fail("expected ':' after \"" + key + "\"");
-        if (key == "events") {
-            // A hostile plan repeating "events" would otherwise append
-            // both arrays — a different plan than either copy alone.
-            if (seenEvents) return fail("duplicate \"events\" key");
-            seenEvents = true;
-            if (!cursor.consume('[')) return fail("\"events\" must be an array");
-            bool firstEvent = true;
-            while (!cursor.peek(']')) {
-                if (!firstEvent && !cursor.consume(','))
-                    return fail("expected ',' between events");
-                firstEvent = false;
-                if (!cursor.consume('{')) return fail("event must be an object");
-                FaultEvent event;
-                bool haveKind = false;
-                bool firstField = true;
-                std::set<std::string> seenFields;
-                while (!cursor.peek('}')) {
-                    if (!firstField && !cursor.consume(','))
-                        return fail("expected ',' between event fields");
-                    firstField = false;
-                    std::string field;
-                    if (!cursor.readString(field)) return fail("expected event field name");
-                    if (!cursor.consume(':'))
-                        return fail("expected ':' after \"" + field + "\"");
-                    // Last-wins duplicate fields are a silent way to
-                    // smuggle a second timeline past a reviewer.
-                    if (!seenFields.insert(field).second)
-                        return fail("duplicate event field \"" + field + "\"");
-                    if (field == "kind") {
-                        std::string name;
-                        if (!cursor.readString(name)) return fail("\"kind\" must be a string");
-                        const auto kind = kindFromName(name);
-                        if (!kind) return fail("unknown fault kind \"" + name + "\"");
-                        event.kind = *kind;
-                        haveKind = true;
-                    } else {
-                        double value = 0.0;
-                        if (!cursor.readNumber(value))
-                            return fail("\"" + field + "\" must be a number");
-                        if (field == "at_ms")
-                            event.at = sim::millis(value);
-                        else if (field == "site")
-                            event.site = int(value);
-                        else if (field == "magnitude")
-                            event.magnitude = value;
-                        else if (field == "duration_ms")
-                            event.duration = sim::millis(value);
-                        else
-                            return fail("unknown event field \"" + field + "\"");
-                    }
+    for (const auto& [key, events] : doc.value().members()) {
+        if (key != "events") return fail("unknown key \"" + key + "\"");
+        if (!events.isArray()) return fail("\"events\" must be an array");
+        for (const util::JsonValue& item : events.array()) {
+            if (!item.isObject()) return fail("event must be an object");
+            FaultEvent event;
+            bool haveKind = false;
+            for (const auto& [field, value] : item.members()) {
+                if (field == "kind") {
+                    if (!value.isString()) return fail("\"kind\" must be a string");
+                    const auto kind = kindFromName(value.string());
+                    if (!kind) return fail("unknown fault kind \"" + value.string() + "\"");
+                    event.kind = *kind;
+                    haveKind = true;
+                    continue;
                 }
-                if (!cursor.consume('}')) return fail("unterminated event object");
-                if (!haveKind) return fail("event missing \"kind\"");
-                if (event.at < sim::SimTime{0}) return fail("negative \"at_ms\"");
-                plan.add(event);
+                if (!value.isNumber()) return fail("\"" + field + "\" must be a number");
+                if (field == "at_ms")
+                    event.at = sim::millis(value.number());
+                else if (field == "site")
+                    event.site = int(value.number());
+                else if (field == "magnitude")
+                    event.magnitude = value.number();
+                else if (field == "duration_ms")
+                    event.duration = sim::millis(value.number());
+                else
+                    return fail("unknown event field \"" + field + "\"");
             }
-            if (!cursor.consume(']')) return fail("unterminated \"events\" array");
-        } else {
-            return fail("unknown key \"" + key + "\"");
+            if (!haveKind) return fail("event missing \"kind\"");
+            if (event.at < sim::SimTime{0}) return fail("negative \"at_ms\"");
+            plan.add(event);
         }
     }
-    if (!cursor.consume('}')) return fail("unterminated top-level object");
-    if (!cursor.atEnd()) return fail("trailing content after plan");
     return util::Result<FaultPlan>{std::move(plan)};
 }
 

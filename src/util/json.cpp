@@ -306,6 +306,10 @@ class Parser {
             skipWs();
             if (pos_ >= text_.size() || text_[pos_++] != ':')
                 return setError("expected ':'");
+            // A repeated key is an error, not last-wins: a document
+            // that says two things at once must not mean either one.
+            if (out.find(key.string()))
+                return setError("duplicate key \"" + key.string() + "\"");
             JsonValue value;
             if (!parseValue(value)) return false;
             out.set(key.string(), std::move(value));

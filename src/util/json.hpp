@@ -61,7 +61,8 @@ class JsonValue {
 
     /// Strict parser: one JSON value, optionally padded by whitespace.
     /// Supports the full value grammar (null/true/false, numbers,
-    /// strings with \uXXXX escapes, arrays, objects).
+    /// strings with \uXXXX escapes, arrays, objects) and rejects an
+    /// object that repeats a key.
     [[nodiscard]] static Result<JsonValue> parse(const std::string& text);
     /// parse() over a whole file's contents.
     [[nodiscard]] static Result<JsonValue> parseFile(const std::string& path);

@@ -56,6 +56,17 @@ TEST(Json, RejectsMalformedInput) {
     EXPECT_FALSE(JsonValue::parse("1 2").ok());  // trailing garbage
 }
 
+TEST(Json, RejectsRepeatedObjectKeys) {
+    // Not last-wins: a repeated key fails the whole document, at any
+    // depth, while the same key in sibling objects is fine.
+    EXPECT_FALSE(JsonValue::parse(R"json({"a":1,"a":2})json").ok());
+    EXPECT_FALSE(JsonValue::parse(R"json({"a":1,"b":{"c":1,"c":1}})json").ok());
+    EXPECT_FALSE(JsonValue::parse(R"json([{"k":"x","k":"y"}])json").ok());
+    const JsonValue siblings = parsed(R"json([{"k":1},{"k":2}])json");
+    ASSERT_EQ(siblings.array().size(), 2u);
+    EXPECT_DOUBLE_EQ(siblings.array()[1].numberOr("k", 0.0), 2.0);
+}
+
 TEST(Json, SerializeRoundTripsAndPreservesMemberOrder) {
     const char* text =
         R"json({"z":1,"a":[true,null,"x\n"],"m":{"k":2.5}})json";
