@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "adversary/adversary.hpp"
-#include "obs/flight.hpp"
 #include "obs/registry.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
@@ -182,13 +181,13 @@ CellResult runCell(const AdvOptions& options, adversary::PersonalityKind kind,
     const auto fail = [&cell, &stamp](std::string what) {
         cell.ok = false;
         cell.failure = std::move(what);
-        obs::FlightRecorder::instance().requestDump("adversary breach: " + cell.failure);
+        obs::Tracer::instance().requestDump("adversary breach: " + cell.failure);
         stamp();
         return cell;
     };
 
     obs::beginRun();
-    obs::FlightRecorder::instance().setDumpPath(directory + "/" + obs::kFlightFile);
+    obs::Tracer::instance().setDumpPath(directory + "/" + obs::kFlightFile);
     ppp::resetMagicEntropy();
     if (options.profile == "nightly") obs::Tracer::instance().setEnabled(false);
 
@@ -650,12 +649,20 @@ int main(int argc, char** argv) {
             std::printf("determinism re-run FAILED: %s\n", repeat.failure.c_str());
             allOk = false;
         } else {
-            const std::string metricsA = slurp(dirA + "/metrics.json");
-            const std::string metricsB = slurp(dirB + "/metrics.json");
-            const bool identical = !metricsA.empty() && metricsA == metricsB;
-            std::printf("determinism: greedy_ue guarded replay %s (%zu bytes)\n",
-                        identical ? "byte-identical" : "DIFFERS", metricsA.size());
-            allOk = allOk && identical;
+            std::string differing;
+            for (const char* file : {obs::kMetricsFile, obs::kTraceFile}) {
+                const std::string a = slurp(dirA + "/" + file);
+                if (!a.empty() && a == slurp(dirB + "/" + file)) continue;
+                differing += differing.empty() ? "" : ", ";
+                differing += file;
+            }
+            if (differing.empty())
+                std::printf("determinism: greedy_ue guarded replay byte-identical (%s, %s)\n",
+                            obs::kMetricsFile, obs::kTraceFile);
+            else
+                std::printf("determinism: greedy_ue guarded replay DIFFERS in %s\n",
+                            differing.c_str());
+            allOk = allOk && differing.empty();
         }
     }
 

@@ -28,7 +28,6 @@
 
 #include "fault/injector.hpp"
 #include "fault/plan.hpp"
-#include "obs/flight.hpp"
 #include "obs/profiler.hpp"
 #include "obs/registry.hpp"
 #include "obs/telemetry.hpp"
@@ -92,14 +91,13 @@ SoakOutcome runSoak(const SoakOptions& options, std::uint64_t seed,
         outcome.failure = std::move(what);
         // Freeze the black box with the breach on record (once per
         // run; repeat triggers are no-ops).
-        obs::FlightRecorder::instance().requestDump("invariant breach: " +
-                                                    outcome.failure);
+        obs::Tracer::instance().requestDump("invariant breach: " + outcome.failure);
         stamp();
         return outcome;
     };
 
     obs::beginRun();
-    obs::FlightRecorder::instance().setDumpPath(directory + "/" + obs::kFlightFile);
+    obs::Tracer::instance().setDumpPath(directory + "/" + obs::kFlightFile);
     obs::Profiler::instance().setEnabled(true);
     ppp::resetMagicEntropy();
     if (options.profile == "nightly") obs::Tracer::instance().setEnabled(false);

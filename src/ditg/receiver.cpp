@@ -1,7 +1,5 @@
 #include "ditg/receiver.hpp"
 
-#include "obs/trace.hpp"
-
 namespace onelab::ditg {
 
 /// Same bucket layout as the sender's rtt_us histogram.
@@ -20,10 +18,6 @@ ItgRecv::ItgRecv(net::UdpSocket& socket, bool sendAcks)
         receivedMetric_.inc();
         owdMetric_.observe(double((dgram.rxTime - sim::SimTime{header->txTimeNs}).count()) /
                            1e3);
-        obs::Tracer& tracer = obs::Tracer::instance();
-        if (tracer.enabled())
-            tracer.instant("ditg", "recv", "flow=" + std::to_string(header->flowId) +
-                                               " seq=" + std::to_string(header->sequence));
         RxRecord record;
         record.flowId = header->flowId;
         record.sequence = header->sequence;

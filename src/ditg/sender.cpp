@@ -1,7 +1,5 @@
 #include "ditg/sender.hpp"
 
-#include "obs/trace.hpp"
-
 namespace onelab::ditg {
 
 /// Buckets for the microsecond latency histograms: 1 ms .. ~32 s.
@@ -75,10 +73,6 @@ void ItgSend::emitPacket() {
         sendErrorsMetric_.inc();
         record.sendFailed = true;
     }
-    obs::Tracer& tracer = obs::Tracer::instance();
-    if (tracer.enabled())
-        tracer.instant("ditg", "send", "flow=" + std::to_string(spec_.flowId) +
-                                           " seq=" + std::to_string(header.sequence));
     log_.packets.push_back(record);
     scheduleNext();
 }

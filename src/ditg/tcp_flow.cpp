@@ -1,6 +1,5 @@
 #include "ditg/tcp_flow.hpp"
 
-#include "obs/trace.hpp"
 #include "util/bytes.hpp"
 
 namespace onelab::ditg {
@@ -128,10 +127,6 @@ void ItgTcpSend::emitProbe() {
         sendErrorsMetric_.inc();
         record.sendFailed = true;
     }
-    obs::Tracer& tracer = obs::Tracer::instance();
-    if (tracer.enabled())
-        tracer.instant("ditg", "tcpsend", "flow=" + std::to_string(spec_.flowId) +
-                                              " seq=" + std::to_string(header.sequence));
     log_.packets.push_back(record);
     scheduleNext();
 }

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 
-#include "obs/flight.hpp"
 #include "obs/registry.hpp"
+#include "obs/trace.hpp"
 
 namespace onelab::fault {
 
@@ -124,10 +124,9 @@ void FaultInjector::fire(std::size_t eventIndex) {
     // Record the plan event before applying it: a fault can cascade
     // synchronously into a breaker park (and the flight dump), and the
     // black box must show the fault ahead of its consequences.
-    if (auto* recorder = obs::FlightRecorder::currentIfEnabled())
-        recorder->note(obs::FlightKind::event, "fault", kindName(event.kind),
-                       "site=" + std::to_string(event.site),
-                       std::int64_t(event.site));
+    obs::Tracer::instance().note(obs::RecordKind::event, "fault", kindName(event.kind),
+                                 "site=" + std::to_string(event.site),
+                                 std::int64_t(event.site));
     bool applied = true;
     switch (event.kind) {
         case FaultKind::bearer_drop:

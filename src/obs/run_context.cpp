@@ -19,13 +19,11 @@ RunContext::RunContext(std::uint64_t seed)
     previousRegistry_ = Registry::setCurrent(&registry_);
     previousTracer_ = Tracer::setCurrent(&tracer_);
     previousLog_ = util::LogConfig::setCurrent(&log_);
-    previousFlight_ = FlightRecorder::setCurrent(&flight_);
     previousProfiler_ = Profiler::setCurrent(&profiler_);
 }
 
 RunContext::~RunContext() {
     Profiler::setCurrent(previousProfiler_);
-    FlightRecorder::setCurrent(previousFlight_);
     util::LogConfig::setCurrent(previousLog_);
     Tracer::setCurrent(previousTracer_);
     Registry::setCurrent(previousRegistry_);

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 
-#include "obs/flight.hpp"
 #include "obs/profiler.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
@@ -12,9 +11,10 @@
 namespace onelab::obs {
 
 /// RAII scope giving the calling thread a private observability world:
-/// its own metric Registry, Tracer and LogConfig, plus the root random
-/// stream for the run, installed as the thread's `instance()`s for the
-/// scope's lifetime and restored on destruction (scopes nest).
+/// its own metric Registry, Tracer (the event recorder), LogConfig and
+/// Profiler, plus the root random stream for the run, installed as the
+/// thread's `instance()`s for the scope's lifetime and restored on
+/// destruction (scopes nest).
 ///
 /// This is what makes sweep points independent: a worker thread enters
 /// a RunContext, builds a Simulator and scenario inside it, and every
@@ -37,7 +37,6 @@ class RunContext {
     [[nodiscard]] Registry& registry() noexcept { return registry_; }
     [[nodiscard]] Tracer& tracer() noexcept { return tracer_; }
     [[nodiscard]] util::LogConfig& logConfig() noexcept { return log_; }
-    [[nodiscard]] FlightRecorder& flightRecorder() noexcept { return flight_; }
     [[nodiscard]] Profiler& profiler() noexcept { return profiler_; }
 
     /// The run's seed and root random stream. Components that need
@@ -49,14 +48,12 @@ class RunContext {
     Registry registry_;
     Tracer tracer_;
     util::LogConfig log_;
-    FlightRecorder flight_;
     Profiler profiler_;
     std::uint64_t seed_;
     util::RandomStream rng_;
     Registry* previousRegistry_;
     Tracer* previousTracer_;
     util::LogConfig* previousLog_;
-    FlightRecorder* previousFlight_;
     Profiler* previousProfiler_;
 };
 

@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <filesystem>
 
-#include "obs/flight.hpp"
 #include "obs/profiler.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
@@ -40,11 +39,12 @@ util::Result<void> writeTelemetry(const std::string& directory) {
         // the unattributed remainder of the profile window.
         ProfileScope exportScope(ProfileCategory::obs_export);
         Registry& registry = Registry::instance();
-        FlightRecorder::instance().syncMetrics(registry);
+        Tracer& tracer = Tracer::instance();
+        tracer.syncMetrics(registry);
         profiler.syncMetrics(registry);
         auto metrics = writeFile(dir / kMetricsFile, registry.snapshotJson());
         if (!metrics.ok()) return metrics;
-        auto trace = writeFile(dir / kTraceFile, Tracer::instance().exportChromeJson());
+        auto trace = writeFile(dir / kTraceFile, tracer.exportChromeJson());
         if (!trace.ok()) return trace;
     }
     return writeFile(dir / kProfileFile, profiler.exportJson());
@@ -56,9 +56,8 @@ void beginRun() {
     Registry::instance().reset();
     Tracer& tracer = Tracer::instance();
     tracer.clear();
-    tracer.setThread(1);
+    tracer.setLane(1);
     tracer.setEnabled(true);
-    FlightRecorder::instance().clear();
     // Restart the attribution window and export counters at the run
     // boundary (even disabled profilers count exports).
     Profiler::instance().reset();

@@ -110,7 +110,7 @@ ExperimentResult runExperiment(const ExperimentOptions& options) {
     result.workload = options.workload;
     result.durationSeconds = options.durationSeconds;
     result.umts = runPath(PathKind::umts_to_ethernet, options);
-    if (telemetry) obs::Tracer::instance().setThread(2);
+    if (telemetry) obs::Tracer::instance().setLane(2);
     result.ethernet = runPath(PathKind::ethernet_to_ethernet, options);
 
     if (telemetry) {

@@ -3,10 +3,10 @@
 #include "ditg/receiver.hpp"
 #include "ditg/sender.hpp"
 #include "ditg/tcp_flow.hpp"
-#include "obs/flight.hpp"
 #include "obs/profiler.hpp"
 #include "obs/registry.hpp"
 #include "obs/telemetry.hpp"
+#include "obs/trace.hpp"
 
 namespace onelab::scenario {
 
@@ -137,11 +137,10 @@ util::Result<void> Fleet::startAll(sim::SimTime timeout) {
     }
     // A failed bring-up is a dump trigger: freeze the black box with
     // the per-site failures on record before the caller bails out.
-    if (auto* recorder = obs::FlightRecorder::currentIfEnabled()) {
-        for (const std::string& failure : failures)
-            recorder->note(obs::FlightKind::event, "fleet", "start_failure", failure);
-        recorder->requestDump("fleet bring-up failed: " + message);
-    }
+    obs::Tracer& recorder = obs::Tracer::instance();
+    for (const std::string& failure : failures)
+        recorder.note(obs::RecordKind::event, "fleet", "start_failure", failure);
+    recorder.requestDump("fleet bring-up failed: " + message);
     return util::err(code, message);
 }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/flight.hpp"
 #include "obs/profiler.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
@@ -278,12 +277,9 @@ void Simulator::clear() {
 
 void Simulator::attachLogClock() {
     util::LogConfig::instance().setClock([this] { return std::int64_t(now_.count()); });
-    // The tracer and flight recorder stamp events with the same
-    // simulated clock (the profiler keeps wall time: it measures cost,
-    // not schedule).
+    // The recorder stamps records with the same simulated clock (the
+    // profiler keeps wall time: it measures cost, not schedule).
     obs::Tracer::instance().setClock([this] { return std::int64_t(now_.count()); });
-    obs::FlightRecorder::instance().setClock(
-        [this] { return std::int64_t(now_.count()); });
 }
 
 }  // namespace onelab::sim

@@ -104,8 +104,8 @@ class Simulator {
         std::erase(attachedPools_, pool);
     }
 
-    /// Install this simulator as the process-wide log clock so log
-    /// lines carry simulated time.
+    /// Install this simulator as the log and recorder clock so log
+    /// lines and obs::Tracer records carry simulated time.
     void attachLogClock();
 
   private:

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/flight.hpp"
 #include "obs/profiler.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
@@ -96,9 +95,7 @@ void LinkSupervisor::enterState(Health next) {
     registry.counter("supervise.transitions." + std::string(healthName(next))).inc();
     const std::string edge =
         std::string(healthName(health_)) + " -> " + healthName(next);
-    obs::Tracer::instance().instant("supervise", config_.name, edge);
-    if (auto* recorder = obs::FlightRecorder::currentIfEnabled())
-        recorder->noteTransition("supervise", config_.name, edge);
+    obs::Tracer::instance().transition("supervise", config_.name, edge);
     log_.info() << healthName(health_) << " -> " << healthName(next);
     health_ = next;
     stateSince_ = now;
@@ -307,8 +304,7 @@ void LinkSupervisor::parkInCooldown() {
     // A parked link is the terminal outcome of an incident: freeze the
     // black box now so the ladder/fault sequence that led here is on
     // disk even if the run carries on for hours.
-    if (auto* recorder = obs::FlightRecorder::currentIfEnabled())
-        recorder->requestDump("supervisor " + config_.name + " parked (failed_over)");
+    obs::Tracer::instance().requestDump("supervisor " + config_.name + " parked (failed_over)");
     if (actionTimer_.valid()) sim_.cancel(actionTimer_);
     actionTimer_ = sim_.schedule(wait, [this] {
         actionTimer_ = {};

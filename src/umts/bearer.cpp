@@ -1,8 +1,8 @@
 #include "umts/bearer.hpp"
 
 #include <algorithm>
+#include <cstdlib>
 
-#include "obs/flight.hpp"
 #include "obs/profiler.hpp"
 #include "obs/trace.hpp"
 #include "util/strings.hpp"
@@ -30,13 +30,18 @@ class MetricNames {
         return buffer_;
     }
 
-    /// The bare prefix (what metricPrefix_ stores).
-    [[nodiscard]] std::string prefix() const { return buffer_.substr(0, base_); }
-
   private:
     std::string buffer_;
     std::size_t base_;
 };
+
+/// Record an RRC state edge. The IMSI rides in the record's value, so
+/// flight.json says which UE moved while trace.json shows the bare
+/// promotion/demotion instant.
+void recordRrcEdge(const std::string& imsi, std::string_view name, std::string_view edge) {
+    obs::Tracer::instance().note(obs::RecordKind::transition, "umts.rrc", name, edge,
+                                 std::strtoll(imsi.c_str(), nullptr, 10));
+}
 
 }  // namespace
 
@@ -46,9 +51,8 @@ BearerLink::BearerLink(sim::Simulator& simulator, Params params, util::RandomStr
       params_(params),
       rng_(std::move(rng)),
       log_("umts." + logTag),
-      metricPrefix_("umts." + std::move(logTag)),
-      metrics_([this] {
-          MetricNames name{metricPrefix_};
+      metrics_([&logTag] {
+          MetricNames name{"umts." + logTag};
           obs::Registry& registry = obs::Registry::instance();
           return Metrics{registry.counter(name("chunks_in")),
                          registry.counter(name("chunks_delivered")),
@@ -63,7 +67,6 @@ void BearerLink::send(util::SharedBytes chunk) {
     if (backlogBytes_ + chunk.size() > params_.bufferBytes) {
         ++stats_.droppedOverflow;
         metrics_.droppedOverflow.inc();
-        obs::Tracer::instance().instant("umts.rlc", "drop_overflow", metricPrefix_);
         return;
     }
     ++stats_.chunksIn;
@@ -131,7 +134,6 @@ void BearerLink::serveNext() {
         if (rng_.chance(std::min(1.0, lossProbability))) {
             ++stats_.droppedRadio;
             metrics_.droppedRadio.inc();
-            obs::Tracer::instance().instant("umts.rlc", "drop_radio", metricPrefix_);
         } else {
             // RAN traversal: base delay + gamma jitter, then alignment
             // to the next TTI boundary; delivery stays in order.
@@ -254,9 +256,7 @@ void RadioBearer::touchRrc() {
         rrcState_ = RrcState::cell_dch;
         ++rrcPromotions_;
         metrics_.rrcPromotions.inc();
-        obs::Tracer::instance().instant("umts.rrc", "promotion", "CELL_FACH -> CELL_DCH");
-        if (auto* recorder = obs::FlightRecorder::currentIfEnabled())
-            recorder->noteTransition("umts.rrc", imsi_, "CELL_FACH -> CELL_DCH");
+        recordRrcEdge(imsi_, "promotion", "CELL_FACH -> CELL_DCH");
         const sim::SimTime ready = sim_.now() + profile_.fachPromotionDelay;
         uplink_.holdService(ready);
         downlink_.holdService(ready);
@@ -274,9 +274,7 @@ void RadioBearer::armRrcIdleTimer() {
         // Only demote if genuinely idle (nothing queued either way).
         if (uplink_.backlogBytes() == 0 && downlink_.backlogBytes() == 0) {
             rrcState_ = RrcState::cell_fach;
-            obs::Tracer::instance().instant("umts.rrc", "demotion", "CELL_DCH -> CELL_FACH");
-            if (auto* recorder = obs::FlightRecorder::currentIfEnabled())
-                recorder->noteTransition("umts.rrc", imsi_, "CELL_DCH -> CELL_FACH");
+            recordRrcEdge(imsi_, "demotion", "CELL_DCH -> CELL_FACH");
             log_.debug() << "CELL_DCH -> CELL_FACH (idle)";
         } else {
             armRrcIdleTimer();

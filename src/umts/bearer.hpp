@@ -120,7 +120,6 @@ class BearerLink {
         obs::Counter& bytesDelivered;
         obs::Gauge& backlogBytes;
     };
-    std::string metricPrefix_;
     Metrics metrics_;
 };
 

@@ -11,9 +11,9 @@
 #include <vector>
 
 #include "fault/injector.hpp"
-#include "obs/flight.hpp"
 #include "obs/run_context.hpp"
 #include "obs/telemetry.hpp"
+#include "obs/trace.hpp"
 #include "scenario/testbed.hpp"
 #include "supervise/supervisor.hpp"
 #include "util/json.hpp"
@@ -42,7 +42,7 @@ TEST(PostMortem, ParkedSupervisorDumpsAReconstructibleFlightRecording) {
     obs::beginRun();
     const std::string path = testing::TempDir() + "onelab_postmortem_flight.json";
     std::remove(path.c_str());
-    obs::FlightRecorder& recorder = obs::FlightRecorder::instance();
+    obs::Tracer& recorder = obs::Tracer::instance();
     recorder.setDumpPath(path);
 
     scenario::TestbedConfig config;

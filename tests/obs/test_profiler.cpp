@@ -9,7 +9,7 @@
 
 #include "obs/profiler.hpp"
 #include "obs/registry.hpp"
-#include "obs/flight.hpp"
+#include "obs/trace.hpp"
 #include "ppp/framer.hpp"
 #include "util/json.hpp"
 

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "obs/run_context.hpp"
+#include "obs/trace.hpp"
+
 namespace onelab::umts {
 namespace {
 
@@ -238,6 +244,34 @@ TEST(RadioBearer, RrcDemotesAfterIdleAndPromotionDelaysFirstPacket) {
     // Another long idle period demotes again.
     sim.runUntil(sim::seconds(15.0));
     EXPECT_EQ(bearer.rrcState(), RadioBearer::RrcState::cell_fach);
+}
+
+TEST(RadioBearer, RrcEdgesNameTheUeInTheBlackBox) {
+    obs::RunContext context;
+    obs::Tracer& recorder = obs::Tracer::instance();
+    recorder.setEnabled(true);
+    sim::Simulator sim;
+    OperatorProfile profile = onDemandProfile();
+    profile.dchIdleTimeout = sim::seconds(3.0);
+    RadioBearer bearer{sim, profile, util::RandomStream{1}, "222880000000108"};
+    bearer.setUplinkSink([](const util::SharedBytes&) {});
+    bearer.sendUplink(util::Bytes(100, 0));
+    sim.runUntil(sim::seconds(8.0));  // idle: demoted
+    bearer.sendUplink(util::Bytes(100, 0));
+    sim.runUntil(sim::seconds(9.0));  // promoted again
+    std::vector<std::string> edges;
+    for (const obs::TraceRecord& record : recorder.records()) {
+        if (record.categoryView() != "umts.rrc") continue;
+        EXPECT_EQ(record.kind, obs::RecordKind::transition);
+        EXPECT_EQ(record.value, 222880000000108);
+        edges.emplace_back(record.nameView());
+    }
+    EXPECT_EQ(edges, (std::vector<std::string>{"demotion", "promotion"}));
+    // The trace shows the edges by name only.
+    const std::string trace = recorder.exportChromeJson();
+    EXPECT_NE(trace.find("\"name\":\"promotion\",\"cat\":\"umts.rrc\",\"ph\":\"i\""),
+              std::string::npos);
+    EXPECT_EQ(trace.find("222880000000108"), std::string::npos);
 }
 
 TEST(RadioBearer, SteadyTrafficNeverDemotes) {
