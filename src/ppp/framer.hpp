@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <functional>
 
-#include "ppp/fcs.hpp"
 #include "util/bytes.hpp"
 
 namespace onelab::ppp {
@@ -40,17 +39,18 @@ struct FramerConfig {
 [[nodiscard]] util::Bytes encodeFrame(const Frame& frame, const FramerConfig& config);
 
 /// The allocation-free form the datapath uses: encode protocol + info
-/// into `out` (cleared first — pass a pooled buffer to recycle its
-/// capacity). One pass: maximal no-escape runs are bulk-copied with
-/// the FCS fused into the same scan, into a buffer reserved to
-/// maxEncodedSize() so appending never reallocates.
+/// into `out` (its contents are replaced — pass a pooled buffer to
+/// recycle its capacity). One pass: maximal no-escape runs are
+/// bulk-copied with the FCS fused into the same scan, into a buffer
+/// sized to maxEncodedSize() up front and trimmed to the frame after.
 void encodeFrameInto(Protocol protocol, util::ByteView info, const FramerConfig& config,
                      util::Bytes& out);
 
 /// Incremental deframer: feed received bytes, emit complete validated
 /// frames. Frames with a bad FCS or shorter than protocol+FCS are
-/// dropped and counted. Runs of ordinary bytes are located with a
-/// word-at-a-time scan and bulk-appended into a reused frame buffer.
+/// dropped and counted. Runs of three or more ordinary bytes are
+/// located with a word-at-a-time scan and bulk-appended into a reused
+/// frame buffer; escape pairs and shorter runs step byte by byte.
 class Deframer {
   public:
     /// Handler invoked for each good frame.
@@ -78,12 +78,13 @@ class Deframer {
   private:
     static constexpr std::size_t kDefaultMaxFrameLength = 64 * 1024;
 
+    void appendByte(std::uint8_t byte);
     void appendRun(const std::uint8_t* data, std::size_t size);
+    void dropOversized();
     void endFrame();
 
     std::function<void(Frame)> handler_;
     util::Bytes current_;
-    std::uint16_t fcs_ = kFcsInit;  ///< running FCS over current_, fed by appendRun
     bool escaped_ = false;
     bool discarding_ = false;  ///< oversized frame: skip until the next flag
     std::size_t maxFrame_ = kDefaultMaxFrameLength;
@@ -98,7 +99,7 @@ class Deframer {
 
 /// Worst-case encoded size of a frame carrying `infoLen` info bytes:
 /// every field byte (including both FCS bytes) escaping to two, plus
-/// the two flags. The encode path reserves this; callers sizing
+/// the two flags. The encode path sizes its output to this; callers sizing
 /// buffers from framingOverhead() alone under-reserve on escape-heavy
 /// payloads.
 [[nodiscard]] std::size_t maxEncodedSize(std::size_t infoLen,

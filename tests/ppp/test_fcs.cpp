@@ -42,9 +42,9 @@ TEST(Fcs, IncrementalMatchesBulk) {
 }
 
 TEST(Fcs, BulkUpdateMatchesByteStepsAtEverySize) {
-    // The slice-by-8 path kicks in at 8 bytes and mixes block and tail
-    // processing; cross-check against the byte-at-a-time register for
-    // every length through several blocks, from every starting state.
+    // The slice-by-16 walk kicks in at 16 bytes and finishes with an
+    // 8-byte step and byte steps; cross-check against the byte-at-a-time
+    // register for every length through several blocks.
     util::Bytes data(64);
     for (std::size_t i = 0; i < data.size(); ++i)
         data[i] = std::uint8_t(i * 37 + 11);
@@ -64,17 +64,24 @@ TEST(Fcs, BulkUpdateMatchesByteStepsAtEverySize) {
 }
 
 TEST(Fcs, StepWordMatchesEightByteSteps) {
-    // fcsStepWord is the register-fed form of the slice-by-8 block the
-    // framer's fused scan uses on words it already loaded; it must
-    // advance the FCS exactly like eight sequential byte steps, from
-    // any starting register.
-    const util::Bytes data{0x7e, 0x00, 0x41, 0xff, 0x13, 0x7d, 0x20, 0x99};
-    std::uint64_t word = 0;
-    for (std::size_t i = 0; i < 8; ++i) word |= std::uint64_t(data[i]) << (8 * i);
+    // fcsStepWord (8 bytes) and fcsStepWords (16 bytes) are the
+    // register-fed steps the framer's fused scan uses on words it
+    // already loaded; each must advance the FCS exactly like the same
+    // number of sequential byte steps, from any starting register.
+    const util::Bytes data{0x7e, 0x00, 0x41, 0xff, 0x13, 0x7d, 0x20, 0x99,
+                           0x03, 0xc0, 0x21, 0x5e, 0x80, 0x7e, 0x01, 0xf0};
+    const auto pack = [&data](std::size_t from) {
+        std::uint64_t word = 0;
+        for (std::size_t i = 0; i < 8; ++i) word |= std::uint64_t(data[from + i]) << (8 * i);
+        return word;
+    };
     for (const std::uint16_t start : {kFcsInit, std::uint16_t(0x0000), std::uint16_t(0xbeef)}) {
         std::uint16_t scalar = start;
-        for (const std::uint8_t byte : data) scalar = fcsStep(scalar, byte);
-        EXPECT_EQ(fcsStepWord(start, word, fcsTables()), scalar) << "start " << start;
+        for (std::size_t i = 0; i < 8; ++i) scalar = fcsStep(scalar, data[i]);
+        EXPECT_EQ(fcsStepWord(start, pack(0), fcsTables()), scalar) << "start " << start;
+        for (std::size_t i = 8; i < 16; ++i) scalar = fcsStep(scalar, data[i]);
+        EXPECT_EQ(fcsStepWords(start, pack(0), pack(8), fcsTables()), scalar)
+            << "start " << start;
     }
 }
 
