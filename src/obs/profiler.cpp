@@ -15,7 +15,7 @@ thread_local Profiler* currentProfiler = nullptr;
 constexpr const char* kCategoryNames[kProfileCategoryCount] = {
     "sim.run",  "sim.event", "ppp.hdlc_encode", "ppp.hdlc_decode", "umts.rlc_queue",
     "sim.pipe", "ppp.pppd",  "supervise",       "obs.export",      "ditg.decode",
-    "scenario.harness",
+    "scenario.harness", "modem.at",
 };
 
 std::int64_t steadyNowNs() {

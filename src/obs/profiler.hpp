@@ -11,7 +11,7 @@ class Registry;
 /// Fixed category set the profiler attributes wall-time to: the event
 /// core plus the datapath stages the ROADMAP throughput item needs
 /// decomposed (HDLC escape/deframe with the fused FCS, RLC queue,
-/// pipe, pppd).
+/// pipe, pppd, the modem's AT engine).
 /// Fixed at compile time so scope enter/leave is an array index, the
 /// export structure is byte-stable, and hot paths never hash a name.
 enum class ProfileCategory : std::uint8_t {
@@ -26,6 +26,7 @@ enum class ProfileCategory : std::uint8_t {
     obs_export,   ///< telemetry serialisation
     ditg_decode,  ///< D-ITG wave bookkeeping: flow setup, log decode
     scenario_harness,  ///< scenario/bench driver work outside deeper scopes
+    modem_at,     ///< AT engine: data-mode "+++" scan, command-mode parsing
     count
 };
 
