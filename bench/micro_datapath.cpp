@@ -12,6 +12,10 @@
 //    0xffffffff, plus the full pipe->framer->deframer goodput loop on
 //    pooled zero-copy slices.
 //
+//  - Modem TTY scan: the AT engine's data-mode "+++" watch over 1500 B
+//    of frame bytes, escape-free and '+'-dense, against an in-file
+//    replica of the per-byte loop it replaced.
+//
 // Before any benchmark runs, main() executes a differential self-check
 // (fast vs reference round trips); a mismatch fails the binary, so the
 // CI smoke invocation doubles as an integrity gate.
@@ -25,11 +29,14 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <vector>
 
+#include "modem/at_engine.hpp"
 #include "net/internet.hpp"
 #include "net/stack.hpp"
+#include "obs/registry.hpp"
 #include "ppp/fcs.hpp"
 #include "ppp/framer.hpp"
 #include "sim/pipe.hpp"
@@ -168,9 +175,9 @@ constexpr std::uint8_t kXor = 0x20;
 constexpr std::uint8_t kAddress = 0xff;
 constexpr std::uint8_t kControl = 0x03;
 
-/// The pre-vectorization FCS: one table lookup per byte (the current
-/// ppp::fcs16 walks slice-by-8 tables, so calling it here would credit
-/// the reference with half of this PR's optimization).
+/// The pre-vectorization FCS: one table lookup per byte (ppp::fcs16
+/// walks slice-by-16 tables, so calling it here would credit the
+/// reference with the fast path's table walk).
 std::uint16_t fcs16Reference(util::ByteView data) noexcept {
     const auto& table = ppp::fcsTables()[0];
     std::uint16_t fcs = ppp::kFcsInit;
@@ -422,6 +429,125 @@ void BM_FramedPipeGoodput(benchmark::State& state) {
 BENCHMARK(BM_FramedPipeGoodput)->Args({1500, 0})->Args({1500, 3})->Args({512, 0});
 
 // ---------------------------------------------------------------------------
+// Modem TTY scan: every byte pppd writes to the card's TTY passes the AT
+// engine's data-mode "+++" watch on its way to the bearer.
+// ---------------------------------------------------------------------------
+
+/// The per-byte scan the run-level one replaced, with the engine state
+/// it touches (the measurement baseline; tests/modem holds the same
+/// loop as the differential oracle).
+class EscapeScanReference {
+  public:
+    explicit EscapeScanReference(sim::Simulator& simulator)
+        : sim_(simulator),
+          escapeSpamMetric_(obs::Registry::instance().counter("guard.at.escape_spam")) {}
+
+    void scan(util::ByteView data) {
+        for (const std::uint8_t byte : data) {
+            const sim::SimTime now = sim_.now();
+            if (byte == '+') {
+                const bool guardOk = plusCount_ > 0 || (now - lastDataByte_) >= kGuardTime;
+                plusCount_ = guardOk ? plusCount_ + 1 : 0;
+                if (plusCount_ == 0) {
+                    if (++rawPlusRun_ >= 3) {
+                        escapeSpamMetric_.inc();
+                        rawPlusRun_ = 0;
+                    }
+                } else {
+                    rawPlusRun_ = 0;
+                }
+                if (plusCount_ == 3) {
+                    if (escapeTimer_.valid()) sim_.cancel(escapeTimer_);
+                    escapeTimer_ = sim_.schedule(kGuardTime, [this] {
+                        escapeTimer_ = {};
+                        plusCount_ = 0;
+                    });
+                }
+            } else {
+                plusCount_ = 0;
+                rawPlusRun_ = 0;
+                if (escapeTimer_.valid()) {
+                    sim_.cancel(escapeTimer_);
+                    escapeTimer_ = {};
+                }
+            }
+            lastDataByte_ = now;
+        }
+    }
+
+  private:
+    static constexpr sim::SimTime kGuardTime = sim::millis(1000);
+    sim::Simulator& sim_;
+    sim::SimTime lastDataByte_{-10'000'000'000};
+    int plusCount_ = 0;
+    sim::EventHandle escapeTimer_;
+    int rawPlusRun_ = 0;
+    obs::Counter& escapeSpamMetric_;
+};
+
+/// 1500 TTY bytes: an escape-light HDLC frame with any '+' replaced
+/// (profile 0), or "+++x" repeated, the '+'-dense spam shape (1).
+util::Bytes makeTtyBytes(bool plusDense) {
+    constexpr std::size_t kSize = 1500;
+    util::Bytes bytes;
+    if (plusDense) {
+        for (std::size_t i = 0; i < kSize; ++i) bytes.push_back(i % 4 == 3 ? 'x' : '+');
+        return bytes;
+    }
+    bytes = ppp::encodeFrame({ppp::Protocol::ip, makePayload(kSize, false)}, ppp::FramerConfig{});
+    bytes.resize(kSize);
+    for (auto& byte : bytes)
+        if (byte == '+') byte = '-';
+    return bytes;
+}
+
+/// Host side of the TTY reduced to its handler, so the bench times the
+/// engine's data-mode path without a pipe event per chunk.
+class DirectTty final : public sim::ByteChannel {
+  public:
+    void write(const util::SharedBytes&) override {}
+    void onData(std::function<void(util::SharedBytes)> handler) override {
+        handler_ = std::move(handler);
+    }
+    std::function<void(util::SharedBytes)> handler_;
+};
+
+void BM_AtDataModeScan(benchmark::State& state) {
+    sim::Simulator sim;
+    DirectTty tty;
+    modem::AtEngine engine{sim, "bench"};
+    engine.attachTty(tty);
+    std::uint64_t forwarded = 0;
+    engine.enterDataMode([&forwarded](util::SharedBytes data) { forwarded += data.size(); });
+    const util::SharedBytes chunk = sim.bufferPool().acquireShared(makeTtyBytes(state.range(1)));
+    for (auto _ : state) {
+        tty.handler_(chunk);
+        benchmark::DoNotOptimize(forwarded);
+    }
+    if (forwarded != std::uint64_t(state.iterations()) * chunk.size())
+        state.SkipWithError("data-mode bytes not forwarded");
+    state.SetItemsProcessed(state.iterations());
+    state.SetBytesProcessed(std::int64_t(forwarded));
+    state.SetLabel(state.range(1) ? "plus_dense" : "frame_bytes");
+}
+
+void BM_AtDataModeScanReference(benchmark::State& state) {
+    sim::Simulator sim;
+    EscapeScanReference reference{sim};
+    const util::Bytes chunk = makeTtyBytes(state.range(1));
+    for (auto _ : state) {
+        reference.scan({chunk.data(), chunk.size()});
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations());
+    state.SetBytesProcessed(std::int64_t(state.iterations()) * std::int64_t(chunk.size()));
+    state.SetLabel(state.range(1) ? "plus_dense" : "frame_bytes");
+}
+
+BENCHMARK(BM_AtDataModeScan)->Args({1500, 0})->Args({1500, 1});
+BENCHMARK(BM_AtDataModeScanReference)->Args({1500, 0})->Args({1500, 1});
+
+// ---------------------------------------------------------------------------
 // Differential self-check, run before any benchmark: the fast framer
 // must agree with the reference byte-for-byte across the benched
 // profiles. Failure exits non-zero, so the CI smoke run gates on it.
@@ -499,7 +625,9 @@ bool writeJson(const std::string& path,
                const std::vector<benchmark::BenchmarkReporter::Run>& runs) {
     // Headline: 1500-byte escape-light frames (the steady-state MTU
     // shape of the paper's CBR experiments), fast vs reference, for
-    // encode, deframe, and the two stages combined.
+    // encode, deframe, and the two stages combined; then the
+    // escape-heavy encode and deframe, and the modem's TTY scan over
+    // escape-free frame bytes.
     const double encodeFast =
         throughputFor(runs, "BM_HdlcEncode/1500/0", "items_per_second");
     const double encodeRef =
@@ -512,6 +640,13 @@ bool writeJson(const std::string& path,
         throughputFor(runs, "BM_HdlcEncode/1500/3", "items_per_second");
     const double heavyEncodeRef =
         throughputFor(runs, "BM_HdlcEncodeReference/1500/3", "items_per_second");
+    const double heavyDeframeFast =
+        throughputFor(runs, "BM_HdlcDeframe/1500/3", "items_per_second");
+    const double heavyDeframeRef =
+        throughputFor(runs, "BM_HdlcDeframeReference/1500/3", "items_per_second");
+    const double scanFast = throughputFor(runs, "BM_AtDataModeScan/1500/0", "items_per_second");
+    const double scanRef =
+        throughputFor(runs, "BM_AtDataModeScanReference/1500/0", "items_per_second");
     // Frames/s of one encode+deframe stage pair (series composition:
     // rates combine like resistors in parallel).
     const double pairFast = (encodeFast > 0.0 && deframeFast > 0.0)
@@ -546,6 +681,10 @@ bool writeJson(const std::string& path,
         << onelab::util::format("%.2f", ratio(pairFast, pairRef));
     out << ",\"encode_1500_heavy_vs_reference\":"
         << onelab::util::format("%.2f", ratio(heavyEncodeFast, heavyEncodeRef));
+    out << ",\"deframe_1500_heavy_vs_reference\":"
+        << onelab::util::format("%.2f", ratio(heavyDeframeFast, heavyDeframeRef));
+    out << ",\"at_scan_1500_vs_reference\":"
+        << onelab::util::format("%.2f", ratio(scanFast, scanRef));
     out << "}}\n";
     return bool(out);
 }

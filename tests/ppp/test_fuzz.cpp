@@ -77,7 +77,9 @@ TEST_P(FuzzSeeds, LzssDecompressNeverCrashes) {
         util::Bytes noise(std::size_t(rng.uniformInt(0, 128)));
         for (auto& byte : noise) byte = std::uint8_t(rng.uniformInt(0, 255));
         const auto result = LzssCodec::decompress({noise.data(), noise.size()});
-        if (result.ok()) EXPECT_LE(result.value().size(), 128u * 20);
+        if (result.ok()) {
+            EXPECT_LE(result.value().size(), 128u * 20);
+        }
     }
     SUCCEED();
 }
@@ -96,7 +98,9 @@ TEST_P(FuzzSeeds, CorruptedValidFrameNeverDecodesWrong) {
         corrupted[pos] ^= std::uint8_t(rng.uniformInt(1, 255));
         Deframer deframer;
         deframer.onFrame([&](Frame frame) {
-            if (frame.protocol == Protocol::ip) EXPECT_NE(frame.info, payload);
+            if (frame.protocol == Protocol::ip) {
+                EXPECT_NE(frame.info, payload);
+            }
         });
         deframer.feed({corrupted.data(), corrupted.size()});
     }
