@@ -19,7 +19,7 @@ PathRun runVariant(umts::OperatorProfile profile, std::uint64_t seed) {
     options.workload = Workload::cbr_1mbps;
     options.durationSeconds = 120.0;
     options.seed = seed;
-    options.testbed.operatorProfile = std::move(profile);
+    options.operatorProfile = std::move(profile);
     return runPath(PathKind::umts_to_ethernet, options);
 }
 

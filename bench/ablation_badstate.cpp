@@ -35,7 +35,7 @@ int main() {
         options.workload = Workload::voip_g711;
         options.durationSeconds = 120.0;
         options.seed = 42;
-        options.testbed.operatorProfile = profile;
+        options.operatorProfile = profile;
         const PathRun run = runPath(PathKind::umts_to_ethernet, options);
         const bool voipOk = run.summary.lossRate < 0.01 &&
                             run.summary.maxRttSeconds < 1.0 &&

@@ -8,7 +8,7 @@
 #include "ditg/decoder.hpp"
 #include "ditg/receiver.hpp"
 #include "ditg/sender.hpp"
-#include "scenario/testbed.hpp"
+#include "scenario/fleet.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 
@@ -18,20 +18,21 @@ using namespace onelab::scenario;
 namespace {
 
 double goodputKbps(bool compression, std::uint64_t seed) {
-    TestbedConfig config;
-    config.seed = seed;
-    config.dialerCompression = compression;
-    Testbed tb{config};
-    if (!tb.startUmts().ok()) return -1.0;
-    if (!tb.addUmtsDestination(tb.inriaEthAddress().str() + "/32").ok()) return -1.0;
+    FleetConfig config = makeUniformFleet(1, seed);
+    config.umtsSites[0].dialerCompression = compression;
+    Fleet fleet{config};
+    UmtsNodeSite& napoli = fleet.umtsSite(0);
+    WiredSite& inria = fleet.wiredSite(0);
+    if (!napoli.startUmts().ok()) return -1.0;
+    if (!napoli.addUmtsDestination(inria.address().str() + "/32").ok()) return -1.0;
 
-    auto rxSocket = tb.inria().openSliceUdp(tb.inriaSlice(), 9001).value();
+    auto rxSocket = inria.node().openSliceUdp(inria.firstSlice(), 9001).value();
     ditg::ItgRecv receiver{*rxSocket};
-    auto txSocket = tb.napoli().openSliceUdp(tb.umtsSlice()).value();
-    ditg::ItgSend sender{tb.sim(), *txSocket, ditg::cbr1MbpsFlow(2, 30.0),
-                         tb.inriaEthAddress(), 9001, util::RandomStream{seed}.derive("flow")};
+    auto txSocket = napoli.node().openSliceUdp(napoli.umtsSlice()).value();
+    ditg::ItgSend sender{fleet.sim(), *txSocket, ditg::cbr1MbpsFlow(2, 30.0),
+                         inria.address(), 9001, util::RandomStream{seed}.derive("flow")};
     sender.start();
-    tb.sim().runUntil(tb.sim().now() + sim::seconds(35.0));
+    fleet.runFor(sim::seconds(35.0));
     const ditg::QosSummary summary = ditg::ItgDec::summarize(sender.log(), receiver.log(2));
     return summary.meanBitrateKbps;
 }

@@ -24,7 +24,7 @@ int main() {
         options.workload = Workload::voip_g711;
         options.durationSeconds = 120.0;
         options.seed = 42;
-        options.testbed.operatorProfile = profile;
+        options.operatorProfile = profile;
         const PathRun run = runPath(PathKind::umts_to_ethernet, options);
         table.addRow({name,
                       util::format("%.1f", util::meanInWindow(run.series.bitrateKbps, 2, 118)),

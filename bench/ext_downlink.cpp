@@ -9,7 +9,7 @@
 #include "ditg/decoder.hpp"
 #include "ditg/receiver.hpp"
 #include "ditg/sender.hpp"
-#include "scenario/testbed.hpp"
+#include "scenario/fleet.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 
@@ -19,30 +19,30 @@ using namespace onelab::scenario;
 namespace {
 
 ditg::QosSummary downlinkRun(double mbps, std::uint64_t seed) {
-    TestbedConfig config;
-    config.seed = seed;
-    Testbed tb{config};
-    const auto started = tb.startUmts();
+    Fleet fleet{makeUniformFleet(1, seed)};
+    UmtsNodeSite& napoli = fleet.umtsSite(0);
+    WiredSite& inria = fleet.wiredSite(0);
+    const auto started = napoli.startUmts();
     if (!started.ok()) return {};
-    (void)tb.addUmtsDestination(tb.inriaEthAddress().str() + "/32");
+    (void)napoli.addUmtsDestination(inria.address().str() + "/32");
 
     // Receiver lives in the UMTS slice. Punch the firewall hole from
     // the SAME socket toward the sender's (fixed) port, so the
     // operator's conntrack records the exact 5-tuple the downstream
     // flow will reverse.
-    auto rxSocket = tb.napoli().openSliceUdp(tb.umtsSlice(), 9001).value();
-    (void)rxSocket->sendTo(tb.inriaEthAddress(), 9002, util::Bytes{1});
-    tb.sim().runUntil(tb.sim().now() + sim::seconds(2.0));
+    auto rxSocket = napoli.node().openSliceUdp(napoli.umtsSlice(), 9001).value();
+    (void)rxSocket->sendTo(inria.address(), 9002, util::Bytes{1});
+    fleet.runFor(sim::seconds(2.0));
     ditg::ItgRecv receiver{*rxSocket};
 
     // Sender at INRIA (fixed source port 9002) toward the subscriber.
-    auto txSocket = tb.inria().openSliceUdp(tb.inriaSlice(), 9002).value();
+    auto txSocket = inria.node().openSliceUdp(inria.firstSlice(), 9002).value();
     const double pps = mbps * 1e6 / 8.0 / 1024.0;
     ditg::FlowSpec spec = ditg::cbrFlow(9, pps, 1024, 30.0, "downlink");
-    ditg::ItgSend sender{tb.sim(), *txSocket, std::move(spec), started.value().address, 9001,
+    ditg::ItgSend sender{fleet.sim(), *txSocket, std::move(spec), started.value().address, 9001,
                          util::RandomStream{seed}.derive("down")};
     sender.start();
-    tb.sim().runUntil(tb.sim().now() + sim::seconds(40.0));
+    fleet.runFor(sim::seconds(40.0));
     return ditg::ItgDec::summarize(sender.log(), receiver.log(9));
 }
 

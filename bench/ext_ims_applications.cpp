@@ -10,7 +10,7 @@
 #include "ditg/decoder.hpp"
 #include "ditg/receiver.hpp"
 #include "ditg/sender.hpp"
-#include "scenario/testbed.hpp"
+#include "scenario/fleet.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 
@@ -25,16 +25,16 @@ int main(int argc, char** argv) {
     std::printf("concurrent flows from the UMTS slice for %.0f s, seed %llu\n\n", duration,
                 (unsigned long long)seed);
 
-    TestbedConfig config;
-    config.seed = seed;
-    Testbed tb{config};
-    if (!tb.startUmts().ok() ||
-        !tb.addUmtsDestination(tb.inriaEthAddress().str() + "/32").ok()) {
+    Fleet fleet{makeUniformFleet(1, seed)};
+    UmtsNodeSite& napoli = fleet.umtsSite(0);
+    WiredSite& inria = fleet.wiredSite(0);
+    if (!napoli.startUmts().ok() ||
+        !napoli.addUmtsDestination(inria.address().str() + "/32").ok()) {
         std::fprintf(stderr, "UMTS setup failed\n");
         return 1;
     }
 
-    auto rxSocket = tb.inria().openSliceUdp(tb.inriaSlice(), 9001).value();
+    auto rxSocket = inria.node().openSliceUdp(inria.firstSlice(), 9001).value();
     ditg::ItgRecv receiver{*rxSocket};
 
     struct App {
@@ -50,13 +50,13 @@ int main(int argc, char** argv) {
 
     std::vector<std::unique_ptr<ditg::ItgSend>> senders;
     for (App& app : apps) {
-        auto socket = tb.napoli().openSliceUdp(tb.umtsSlice()).value();
+        auto socket = napoli.node().openSliceUdp(napoli.umtsSlice()).value();
         senders.push_back(std::make_unique<ditg::ItgSend>(
-            tb.sim(), *socket, std::move(app.spec), tb.inriaEthAddress(), 9001,
+            fleet.sim(), *socket, std::move(app.spec), inria.address(), 9001,
             util::RandomStream{seed}.derive(app.name)));
         senders.back()->start();
     }
-    tb.sim().runUntil(tb.sim().now() + sim::seconds(duration + 10.0));
+    fleet.runFor(sim::seconds(duration + 10.0));
 
     util::Table table({"application", "sent", "lost", "mean RTT [ms]", "max RTT [ms]",
                        "mean jitter [ms]", "verdict"});
@@ -76,6 +76,6 @@ int main(int argc, char** argv) {
                 "interactive applications remain usable — supporting the paper's case\n"
                 "that a UMTS-equipped PlanetLab node is a realistic IMS-era vantage\n"
                 "point, as long as no bulk flow saturates the uplink.\n");
-    (void)tb.stopUmts();
+    (void)napoli.stopUmts();
     return 0;
 }

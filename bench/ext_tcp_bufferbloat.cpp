@@ -9,7 +9,7 @@
 #include <cstring>
 
 #include "net/tcp.hpp"
-#include "scenario/testbed.hpp"
+#include "scenario/fleet.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 
@@ -26,54 +26,54 @@ struct UploadResult {
     double srttMs = 0.0;
 };
 
-double pingMs(Testbed& tb, int sliceXid) {
+double pingMs(Fleet& fleet, int sliceXid) {
     std::optional<net::PingReply> reply;
-    (void)tb.napoli().stack().ping(tb.inriaEthAddress(),
-                                   [&](net::PingReply r) { reply = r; }, sliceXid);
-    tb.sim().runUntil(tb.sim().now() + sim::seconds(10.0));
+    (void)fleet.umtsSite(0).node().stack().ping(fleet.wiredSite(0).address(),
+                                                [&](net::PingReply r) { reply = r; }, sliceXid);
+    fleet.runFor(sim::seconds(10.0));
     return reply ? sim::toMillis(reply->rtt) : -1.0;
 }
 
 UploadResult uploadOver(bool viaUmts, std::uint64_t seed, net::CcAlgorithm cc) {
-    TestbedConfig config;
-    config.seed = seed;
-    Testbed tb{config};
+    Fleet fleet{makeUniformFleet(1, seed)};
+    UmtsNodeSite& napoli = fleet.umtsSite(0);
+    WiredSite& inria = fleet.wiredSite(0);
     int sliceXid = 0;
     if (viaUmts) {
-        if (!tb.startUmts().ok() ||
-            !tb.addUmtsDestination(tb.inriaEthAddress().str() + "/32").ok())
+        if (!napoli.startUmts().ok() ||
+            !napoli.addUmtsDestination(inria.address().str() + "/32").ok())
             return {};
-        sliceXid = tb.umtsSlice().xid;
+        sliceXid = napoli.umtsSlice().xid;
     }
-    net::TcpHost client{tb.sim(), tb.napoli().stack(), util::RandomStream{seed}};
-    net::TcpHost server{tb.sim(), tb.inria().stack(), util::RandomStream{seed + 1}};
+    net::TcpHost client{fleet.sim(), napoli.node().stack(), util::RandomStream{seed}};
+    net::TcpHost server{fleet.sim(), inria.node().stack(), util::RandomStream{seed + 1}};
 
     UploadResult result;
-    result.idleRttMs = pingMs(tb, sliceXid);
+    result.idleRttMs = pingMs(fleet, sliceXid);
 
     std::size_t received = 0;
     sim::SimTime lastByteAt{};
     (void)server.listen(8080, [&](net::TcpConnection& c) {
         c.onData = [&](util::ByteView d) {
             received += d.size();
-            lastByteAt = tb.sim().now();
+            lastByteAt = fleet.now();
         };
     });
     net::TcpOptions options;
     options.congestion = cc;
     net::TcpConnection* conn =
-        client.connect(tb.inriaEthAddress(), 8080, sliceXid, {}, options);
+        client.connect(inria.address(), 8080, sliceXid, {}, options);
     conn->onConnected = [&] {
         const util::Bytes blob(2 * 1024 * 1024, 0x42);  // 2 MiB upload
         (void)conn->send({blob.data(), blob.size()});
     };
-    const sim::SimTime start = tb.sim().now();
+    const sim::SimTime start = fleet.now();
     const double measureSeconds = 60.0;
     // Measure the loaded RTT while the transfer is still in progress
     // (early on, so even the fast wired path has data in flight).
-    tb.sim().runUntil(start + sim::millis(viaUmts ? 20000 : 300));
-    result.loadedRttMs = pingMs(tb, sliceXid);
-    tb.sim().runUntil(start + sim::seconds(measureSeconds));
+    fleet.runUntil(start + sim::millis(viaUmts ? 20000 : 300));
+    result.loadedRttMs = pingMs(fleet, sliceXid);
+    fleet.runUntil(start + sim::seconds(measureSeconds));
     const double activeSeconds =
         lastByteAt > start ? sim::toSeconds(lastByteAt - start) : measureSeconds;
     result.goodputKbps = double(received) * 8.0 / activeSeconds / 1000.0;

@@ -15,7 +15,7 @@
 #include "ditg/decoder.hpp"
 #include "ditg/receiver.hpp"
 #include "ditg/sender.hpp"
-#include "scenario/testbed.hpp"
+#include "scenario/fleet.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 
@@ -34,48 +34,47 @@ struct OperatorResult {
 };
 
 OperatorResult probeOperator(const umts::OperatorProfile& profile, std::uint64_t seed) {
-    TestbedConfig config;
-    config.seed = seed;
-    config.operatorProfile = profile;
-    Testbed tb{config};
+    Fleet fleet{makeUniformFleet(1, seed, profile)};
+    UmtsNodeSite& napoli = fleet.umtsSite(0);
+    WiredSite& inria = fleet.wiredSite(0);
 
     OperatorResult result;
-    const double before = sim::toSeconds(tb.sim().now());
-    const auto started = tb.startUmts();
+    const double before = sim::toSeconds(fleet.now());
+    const auto started = napoli.startUmts();
     if (!started.ok()) {
         std::fprintf(stderr, "start failed on %s: %s\n", profile.displayName.c_str(),
                      started.error().message.c_str());
         return result;
     }
-    result.setupSeconds = sim::toSeconds(tb.sim().now()) - before;
+    result.setupSeconds = sim::toSeconds(fleet.now()) - before;
     result.operatorName = started.value().operatorName;
     result.address = started.value().address;
     result.csq = started.value().signalQuality;
-    (void)tb.addUmtsDestination(tb.inriaEthAddress().str() + "/32");
+    (void)napoli.addUmtsDestination(inria.address().str() + "/32");
 
-    auto rxSocket = tb.inria().openSliceUdp(tb.inriaSlice(), 9001).value();
+    auto rxSocket = inria.node().openSliceUdp(inria.firstSlice(), 9001).value();
     ditg::ItgRecv receiver{*rxSocket};
 
     // 20 s of VoIP, then 20 s of saturating CBR.
     {
-        auto txSocket = tb.napoli().openSliceUdp(tb.umtsSlice()).value();
-        ditg::ItgSend sender{tb.sim(), *txSocket, ditg::voipG711Flow(1, 20.0),
-                             tb.inriaEthAddress(), 9001,
+        auto txSocket = napoli.node().openSliceUdp(napoli.umtsSlice()).value();
+        ditg::ItgSend sender{fleet.sim(), *txSocket, ditg::voipG711Flow(1, 20.0),
+                             inria.address(), 9001,
                              util::RandomStream{seed}.derive("voip")};
         sender.start();
-        tb.sim().runUntil(tb.sim().now() + sim::seconds(24.0));
+        fleet.runFor(sim::seconds(24.0));
         result.voip = ditg::ItgDec::summarize(sender.log(), receiver.log(1));
     }
     {
-        auto txSocket = tb.napoli().openSliceUdp(tb.umtsSlice()).value();
-        ditg::ItgSend sender{tb.sim(), *txSocket, ditg::cbr1MbpsFlow(2, 20.0),
-                             tb.inriaEthAddress(), 9001,
+        auto txSocket = napoli.node().openSliceUdp(napoli.umtsSlice()).value();
+        ditg::ItgSend sender{fleet.sim(), *txSocket, ditg::cbr1MbpsFlow(2, 20.0),
+                             inria.address(), 9001,
                              util::RandomStream{seed}.derive("cbr")};
         sender.start();
-        tb.sim().runUntil(tb.sim().now() + sim::seconds(26.0));
+        fleet.runFor(sim::seconds(26.0));
         result.saturation = ditg::ItgDec::summarize(sender.log(), receiver.log(2));
     }
-    (void)tb.stopUmts();
+    (void)napoli.stopUmts();
     return result;
 }
 

@@ -9,22 +9,23 @@
 #include <cstdlib>
 
 #include "net/traceroute.hpp"
-#include "scenario/testbed.hpp"
+#include "scenario/fleet.hpp"
 
 using namespace onelab;
 using namespace onelab::scenario;
 
 namespace {
 
-void runTraceroute(Testbed& tb, const char* label, int sliceXid) {
-    net::Traceroute traceroute{tb.sim(), tb.napoli().stack()};
+void runTraceroute(Fleet& fleet, const char* label, int sliceXid) {
+    WiredSite& inria = fleet.wiredSite(0);
+    net::Traceroute traceroute{fleet.sim(), fleet.umtsSite(0).node().stack()};
     net::TracerouteOptions options;
     options.sliceXid = sliceXid;
     std::optional<std::vector<net::TracerouteHop>> hops;
-    traceroute.run(tb.inriaEthAddress(),
+    traceroute.run(inria.address(),
                    [&](std::vector<net::TracerouteHop> h) { hops = std::move(h); }, options);
-    tb.sim().runUntil(tb.sim().now() + sim::seconds(30.0));
-    std::printf("traceroute to %s (%s):\n", tb.inria().hostname().c_str(), label);
+    fleet.runFor(sim::seconds(30.0));
+    std::printf("traceroute to %s (%s):\n", inria.node().hostname().c_str(), label);
     if (!hops) {
         std::printf("  (no result)\n");
         return;
@@ -38,36 +39,36 @@ void runTraceroute(Testbed& tb, const char* label, int sliceXid) {
     }
 }
 
-double pingMs(Testbed& tb, int sliceXid) {
+double pingMs(Fleet& fleet, int sliceXid) {
     std::optional<net::PingReply> reply;
-    (void)tb.napoli().stack().ping(tb.inriaEthAddress(),
-                                   [&](net::PingReply r) { reply = r; }, sliceXid);
-    tb.sim().runUntil(tb.sim().now() + sim::seconds(5.0));
+    (void)fleet.umtsSite(0).node().stack().ping(fleet.wiredSite(0).address(),
+                                                [&](net::PingReply r) { reply = r; }, sliceXid);
+    fleet.runFor(sim::seconds(5.0));
     return reply ? sim::toMillis(reply->rtt) : -1.0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-    TestbedConfig config;
-    if (argc > 1) config.seed = std::strtoull(argv[1], nullptr, 10);
-    Testbed tb{config};
+    const std::uint64_t seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 42;
+    Fleet fleet{makeUniformFleet(1, seed)};
+    UmtsNodeSite& napoli = fleet.umtsSite(0);
 
     std::printf("== Path discovery: eth0 vs ppp0 ==\n\n");
-    std::printf("ping via eth0: %.1f ms\n", pingMs(tb, 0));
-    runTraceroute(tb, "eth0, default route", 0);
+    std::printf("ping via eth0: %.1f ms\n", pingMs(fleet, 0));
+    runTraceroute(fleet, "eth0, default route", 0);
 
-    const auto started = tb.startUmts();
+    const auto started = napoli.startUmts();
     if (!started.ok()) {
         std::fprintf(stderr, "umts start failed: %s\n", started.error().message.c_str());
         return 1;
     }
-    (void)tb.addUmtsDestination(tb.inriaEthAddress().str() + "/32");
+    (void)napoli.addUmtsDestination(fleet.wiredSite(0).address().str() + "/32");
     std::printf("\nUMTS up: ppp0 %s via %s\n\n", started.value().address.str().c_str(),
                 started.value().operatorName.c_str());
-    std::printf("ping via ppp0: %.1f ms\n", pingMs(tb, tb.umtsSlice().xid));
-    runTraceroute(tb, "ppp0, marked slice traffic", tb.umtsSlice().xid);
+    std::printf("ping via ppp0: %.1f ms\n", pingMs(fleet, napoli.umtsSlice().xid));
+    runTraceroute(fleet, "ppp0, marked slice traffic", napoli.umtsSlice().xid);
 
-    (void)tb.stopUmts();
+    (void)napoli.stopUmts();
     return 0;
 }

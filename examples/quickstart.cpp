@@ -11,7 +11,7 @@
 #include "ditg/decoder.hpp"
 #include "ditg/receiver.hpp"
 #include "ditg/sender.hpp"
-#include "scenario/testbed.hpp"
+#include "scenario/fleet.hpp"
 #include "util/logging.hpp"
 
 using namespace onelab;
@@ -19,24 +19,25 @@ using namespace onelab;
 int main(int argc, char** argv) {
     util::LogConfig::instance().setLevel(util::LogLevel::info);
 
-    scenario::TestbedConfig config;
-    if (argc > 1) config.seed = std::strtoull(argv[1], nullptr, 10);
+    const std::uint64_t seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 42;
 
-    scenario::Testbed tb{config};
-    tb.sim().attachLogClock();
+    // The paper's testbed: one UMTS-equipped node, one wired receiver.
+    scenario::Fleet fleet{scenario::makeUniformFleet(1, seed)};
+    scenario::UmtsNodeSite& napoli = fleet.umtsSite(0);
+    scenario::WiredSite& inria = fleet.wiredSite(0);
+    fleet.sim().attachLogClock();
 
-    std::printf("== OneLab UMTS quickstart (seed %llu) ==\n",
-                (unsigned long long)config.seed);
-    std::printf("Napoli node:  %s (eth0 %s)\n", tb.napoli().hostname().c_str(),
-                tb.napoliEthAddress().str().c_str());
-    std::printf("INRIA node:   %s (eth0 %s)\n", tb.inria().hostname().c_str(),
-                tb.inriaEthAddress().str().c_str());
+    std::printf("== OneLab UMTS quickstart (seed %llu) ==\n", (unsigned long long)seed);
+    std::printf("Napoli node:  %s (eth0 %s)\n", napoli.hostname().c_str(),
+                napoli.ethAddress().str().c_str());
+    std::printf("INRIA node:   %s (eth0 %s)\n", inria.hostname().c_str(),
+                inria.address().str().c_str());
     std::printf("Operator:     %s (APN %s)\n",
-                tb.operatorNetwork().profile().displayName.c_str(),
-                tb.operatorNetwork().profile().apn.c_str());
+                fleet.operatorNetwork().profile().displayName.c_str(),
+                fleet.operatorNetwork().profile().apn.c_str());
 
     // 1. `umts start` from inside the slice (via vsys).
-    const auto started = tb.startUmts();
+    const auto started = napoli.startUmts();
     if (!started.ok()) {
         std::printf("umts start FAILED: %s\n", started.error().message.c_str());
         return 1;
@@ -47,23 +48,23 @@ int main(int argc, char** argv) {
     std::printf("  signal (CSQ): %d\n", started.value().signalQuality);
 
     // 2. Route the INRIA receiver through the UMTS connection.
-    const auto added = tb.addUmtsDestination(tb.inriaEthAddress().str() + "/32");
+    const auto added = napoli.addUmtsDestination(inria.address().str() + "/32");
     if (!added.ok()) {
         std::printf("add destination FAILED: %s\n", added.error().message.c_str());
         return 1;
     }
     std::printf("`umts add destination %s/32` -> ok\n",
-                tb.inriaEthAddress().str().c_str());
+                inria.address().str().c_str());
 
     // 3. Ten seconds of VoIP-like probes through the UMTS link.
-    auto recvSocket = tb.inria().openSliceUdp(tb.inriaSlice(), 9001).value();
+    auto recvSocket = inria.node().openSliceUdp(inria.firstSlice(), 9001).value();
     ditg::ItgRecv receiver{*recvSocket};
-    auto sendSocket = tb.napoli().openSliceUdp(tb.umtsSlice()).value();
+    auto sendSocket = napoli.node().openSliceUdp(napoli.umtsSlice()).value();
     ditg::FlowSpec spec = ditg::voipG711Flow(1, 10.0);
-    ditg::ItgSend sender{tb.sim(), *sendSocket, std::move(spec), tb.inriaEthAddress(), 9001,
-                         util::RandomStream{config.seed}.derive("flow")};
+    ditg::ItgSend sender{fleet.sim(), *sendSocket, std::move(spec), inria.address(), 9001,
+                         util::RandomStream{seed}.derive("flow")};
     sender.start();
-    tb.sim().runUntil(tb.sim().now() + sim::seconds(13.0));
+    fleet.runFor(sim::seconds(13.0));
 
     const auto summary = ditg::ItgDec::summarize(sender.log(), receiver.log(1));
     std::printf("\n10 s VoIP-like flow over UMTS:\n");
@@ -77,7 +78,7 @@ int main(int argc, char** argv) {
                 summary.maxJitterSeconds * 1e3);
 
     // 4. Tear down.
-    const auto stopped = tb.stopUmts();
+    const auto stopped = napoli.stopUmts();
     std::printf("\n`umts stop` -> %s\n", stopped.ok() ? "ok" : stopped.error().message.c_str());
     return summary.received > 0 && stopped.ok() ? 0 : 1;
 }

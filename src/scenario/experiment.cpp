@@ -33,24 +33,25 @@ ditg::FlowSpec makeWorkload(Workload workload, double durationSeconds) {
 }
 
 PathRun runPath(PathKind path, const ExperimentOptions& options) {
-    TestbedConfig testbedConfig = options.testbed;
-    testbedConfig.seed = options.seed;
-    Testbed tb{testbedConfig};
-    sim::Simulator& sim = tb.sim();
+    FleetConfig config = makeUniformFleet(1, options.seed, options.operatorProfile);
+    config.umtsSites[0].supervise.enable = options.supervise;
+    Fleet fleet{std::move(config)};
+    sim::Simulator& sim = fleet.sim();
+    UmtsNodeSite& napoli = fleet.umtsSite(0);
+    WiredSite& inria = fleet.wiredSite(0);
 
     PathRun run;
 
     // Receiver on the INRIA node (root port 9001, inside its slice).
-    auto recvSocket = tb.inria().openSliceUdp(tb.inriaSlice(), 9001);
+    auto recvSocket = inria.node().openSliceUdp(inria.firstSlice(), 9001);
     if (!recvSocket.ok()) throw std::runtime_error(recvSocket.error().message);
     ditg::ItgRecv receiver{*recvSocket.value()};
 
     if (path == PathKind::umts_to_ethernet) {
-        const auto started = tb.startUmts();
+        const auto started = napoli.startUmts();
         if (!started.ok())
             throw std::runtime_error("umts start failed: " + started.error().message);
-        const auto added =
-            tb.addUmtsDestination(tb.inriaEthAddress().str() + "/32");
+        const auto added = napoli.addUmtsDestination(inria.address().str() + "/32");
         if (!added.ok())
             throw std::runtime_error("add destination failed: " + added.error().message);
         run.umtsUsed = true;
@@ -58,7 +59,7 @@ PathRun runPath(PathKind path, const ExperimentOptions& options) {
         run.operatorName = started.value().operatorName;
 
         // Track on-demand bearer upgrades (the Fig. 4 knee).
-        if (umts::UmtsSession* session = tb.operatorNetwork().sessionAt(0)) {
+        if (umts::UmtsSession* session = fleet.operatorNetwork().sessionAt(0)) {
             session->bearer().onUplinkRateChange = [&run, &sim](double oldRate, double newRate) {
                 if (newRate > oldRate) {
                     ++run.bearerUpgrades;
@@ -70,13 +71,13 @@ PathRun runPath(PathKind path, const ExperimentOptions& options) {
     }
 
     // Sender in the experiment slice on the Napoli node.
-    auto sendSocket = tb.napoli().openSliceUdp(tb.umtsSlice());
+    auto sendSocket = napoli.node().openSliceUdp(napoli.umtsSlice());
     if (!sendSocket.ok()) throw std::runtime_error(sendSocket.error().message);
 
     ditg::FlowSpec spec = makeWorkload(options.workload, options.durationSeconds);
     const std::uint16_t flowId = spec.flowId;
     util::RandomStream flowRng = util::RandomStream{options.seed}.derive("flow");
-    ditg::ItgSend sender{sim, *sendSocket.value(), std::move(spec), tb.inriaEthAddress(), 9001,
+    ditg::ItgSend sender{sim, *sendSocket.value(), std::move(spec), inria.address(), 9001,
                          std::move(flowRng)};
 
     const sim::SimTime flowStart = sim.now();
@@ -92,7 +93,7 @@ PathRun runPath(PathKind path, const ExperimentOptions& options) {
     if (run.upgradeTimeSeconds >= 0.0)
         run.upgradeTimeSeconds -= sim::toSeconds(flowStart);
 
-    if (path == PathKind::umts_to_ethernet) (void)tb.stopUmts();
+    if (path == PathKind::umts_to_ethernet) (void)napoli.stopUmts();
     return run;
 }
 

@@ -4,7 +4,7 @@
 #include "ditg/flow.hpp"
 #include "ditg/receiver.hpp"
 #include "ditg/sender.hpp"
-#include "scenario/testbed.hpp"
+#include "scenario/fleet.hpp"
 
 namespace onelab::scenario {
 
@@ -45,7 +45,10 @@ struct ExperimentOptions {
     double durationSeconds = 120.0;
     double windowSeconds = 0.2;
     std::uint64_t seed = 42;
-    TestbedConfig testbed;  ///< testbed.seed is overridden by `seed`
+    umts::OperatorProfile operatorProfile = umts::commercialItalianOperator();
+    /// Link supervision on the UMTS node (the golden figure tests check
+    /// that it is a no-op on a fault-free run).
+    bool supervise = false;
     /// When non-empty, runExperiment() arms the obs subsystem (fresh
     /// registry + enabled tracer) and dumps metrics.json plus a Chrome
     /// trace.json into this directory at the end of the run. The UMTS
@@ -56,9 +59,10 @@ struct ExperimentOptions {
 /// Build the FlowSpec for a workload.
 [[nodiscard]] ditg::FlowSpec makeWorkload(Workload workload, double durationSeconds);
 
-/// Drive one workload over one path on a fresh testbed. For the UMTS
-/// path this performs the full §2 workflow: vsys `umts start`, `umts
-/// add destination <receiver>`, traffic, `umts stop`.
+/// Drive one workload over one path on a fresh paper testbed, the
+/// 1-UE fleet `makeUniformFleet(1)`. For the UMTS path this performs
+/// the full §2 workflow: vsys `umts start`, `umts add destination
+/// <receiver>`, traffic, `umts stop`.
 [[nodiscard]] PathRun runPath(PathKind path, const ExperimentOptions& options);
 
 /// Run the workload over both paths (paper §3.2): same seed, two

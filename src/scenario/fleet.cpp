@@ -47,8 +47,8 @@ Fleet::Fleet(FleetConfig config) : config_(std::move(config)), rng_(config_.seed
         wiredSites_.push_back(std::make_unique<WiredSite>(sim_, *internet_, siteConfig));
 
     // Wired transit delays between every site pair (and the operator's
-    // core toward each). Ordered UE x wired first to match the
-    // two-node testbed's historical call sequence exactly.
+    // core toward each). Ordered UE x wired first to keep the
+    // single-node testbed's historical call sequence exactly.
     for (auto& ue : umtsSites_)
         for (auto& wired : wiredSites_)
             internet_->setTransitDelay(ue->eth(), wired->eth(), config_.ethTransitOneWay);
@@ -166,18 +166,18 @@ util::Result<void> Fleet::stopUmts(std::size_t index, sim::SimTime timeout) {
     return umtsSites_.at(index)->stopUmts(timeout);
 }
 
-FleetCbrRun Fleet::runCbr(std::size_t index, double durationSeconds, double windowSeconds) {
-    return runCbrOnSites({index}, durationSeconds, windowSeconds).front();
+FleetCbrRun Fleet::runCbr(std::size_t index, double durationSeconds) {
+    return runCbrOnSites({index}, durationSeconds).front();
 }
 
-std::vector<FleetCbrRun> Fleet::runCbrAll(double durationSeconds, double windowSeconds) {
+std::vector<FleetCbrRun> Fleet::runCbrAll(double durationSeconds) {
     std::vector<std::size_t> indices(umtsSites_.size());
     for (std::size_t i = 0; i < indices.size(); ++i) indices[i] = i;
-    return runCbrOnSites(indices, durationSeconds, windowSeconds);
+    return runCbrOnSites(indices, durationSeconds);
 }
 
 std::vector<FleetCbrRun> Fleet::runCbrOnSites(const std::vector<std::size_t>& indices,
-                                              double durationSeconds, double windowSeconds) {
+                                              double durationSeconds) {
     // Wave bookkeeping (flow/socket setup, log decode, teardown) is
     // real CPU work outside the event loop; the sim time nested below
     // subtracts itself, leaving the bookkeeping as this scope's self.
@@ -227,7 +227,6 @@ std::vector<FleetCbrRun> Fleet::runCbrOnSites(const std::vector<std::size_t>& in
         FleetCbrRun run;
         run.imsi = site.imsi();
         run.summary = ditg::ItgDec::summarize(flow.sender->log(), receiver.log(flow.flowId));
-        (void)windowSeconds;
         run.packetsSent = flow.sender->packetsSent();
         run.packetsReceived = run.summary.received;
         // The live session's bearer knows its contention history.

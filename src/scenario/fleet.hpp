@@ -12,8 +12,7 @@ namespace onelab::scenario {
 /// Fleet parameters: one shared simulator + Internet + operator cell,
 /// N UMTS-equipped sites, and M wired (receiver) sites. Defaults leave
 /// the site lists empty; `makeUniformFleet()` builds the common
-/// "N UEs in one cell, one wired receiver" shape, and the two-node
-/// Testbed façade builds the paper's exact §3 configuration.
+/// "N UEs in one cell, one wired receiver" shape.
 struct FleetConfig {
     std::uint64_t seed = 42;
     umts::OperatorProfile operatorProfile = umts::commercialItalianOperator();
@@ -28,6 +27,9 @@ struct FleetConfig {
 /// Uniform N-UE shared-cell fleet: `ueCount` UMTS sites (distinct
 /// hostnames, eth addresses, IMSIs and dialer seeds) camping on one
 /// cell of `profile`, plus a single wired receiver site at INRIA.
+/// `makeUniformFleet(1)` is the paper's §3 testbed: the Napoli node
+/// (planetlab1.unina.it, slice unina_umts) and the INRIA receiver
+/// (planetlab1.inria.fr, slice inria_recv).
 [[nodiscard]] FleetConfig makeUniformFleet(
     std::size_t ueCount, std::uint64_t seed = 42,
     umts::OperatorProfile profile = umts::commercialItalianOperator());
@@ -55,8 +57,8 @@ struct FleetTcpRun {
 /// The N-UE testbed: every UMTS site shares one operator network (and
 /// thus one CellCapacity pool), every site pair is reachable over the
 /// wired Internet, and the operator's resolver knows every hostname.
-/// This is the substrate the contention experiments sweep over; the
-/// two-node Testbed is a thin façade over a 1-UE/1-wired fleet.
+/// This is the substrate the contention experiments sweep over, and
+/// with one UE and one wired site it is the paper's two-node testbed.
 class Fleet {
   public:
     explicit Fleet(FleetConfig config);
@@ -101,11 +103,10 @@ class Fleet {
 
     /// Drive one CBR flow from UMTS site `index` to wired site 0 and
     /// run it to completion (plus a drain tail).
-    FleetCbrRun runCbr(std::size_t index, double durationSeconds,
-                       double windowSeconds = 0.2);
+    FleetCbrRun runCbr(std::size_t index, double durationSeconds);
     /// Drive concurrent CBR flows from EVERY umts site to wired site 0
     /// — the shared-cell contention workload. Flows start together.
-    std::vector<FleetCbrRun> runCbrAll(double durationSeconds, double windowSeconds = 0.2);
+    std::vector<FleetCbrRun> runCbrAll(double durationSeconds);
 
     /// Drive one TCP probe flow (framed D-ITG probes over the real TCP
     /// stack) from UMTS site `index` to wired site 0. Waves are
@@ -130,7 +131,7 @@ class Fleet {
 
   private:
     std::vector<FleetCbrRun> runCbrOnSites(const std::vector<std::size_t>& indices,
-                                           double durationSeconds, double windowSeconds);
+                                           double durationSeconds);
     std::vector<FleetTcpRun> runTcpOnSites(const std::vector<std::size_t>& indices,
                                            double durationSeconds,
                                            net::CcAlgorithm congestion);

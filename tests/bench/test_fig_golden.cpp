@@ -70,7 +70,7 @@ void checkWorkload(scenario::Workload workload, bool supervised = false) {
     ppp::resetMagicEntropy();
     scenario::ExperimentOptions options;
     options.workload = workload;
-    options.testbed.supervise.enable = supervised;
+    options.supervise = supervised;
     const scenario::ExperimentResult result = scenario::runExperiment(options);
     for (const GoldenFigure& golden : kGoldenFigures) {
         if (golden.workload != workload) continue;

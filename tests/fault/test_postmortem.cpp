@@ -14,7 +14,7 @@
 #include "obs/run_context.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
-#include "scenario/testbed.hpp"
+#include "scenario/fleet.hpp"
 #include "supervise/supervisor.hpp"
 #include "util/json.hpp"
 
@@ -22,10 +22,10 @@ namespace onelab::fault {
 namespace {
 
 template <typename Pred>
-bool settle(scenario::Testbed& tb, sim::SimTime patience, Pred&& pred) {
-    const sim::SimTime deadline = tb.sim().now() + patience;
-    while (!pred() && tb.sim().now() < deadline)
-        tb.sim().runUntil(tb.sim().now() + sim::millis(500));
+bool settle(scenario::Fleet& fleet, sim::SimTime patience, Pred&& pred) {
+    const sim::SimTime deadline = fleet.now() + patience;
+    while (!pred() && fleet.now() < deadline)
+        fleet.runFor(sim::millis(500));
     return pred();
 }
 
@@ -45,33 +45,35 @@ TEST(PostMortem, ParkedSupervisorDumpsAReconstructibleFlightRecording) {
     obs::Tracer& recorder = obs::Tracer::instance();
     recorder.setDumpPath(path);
 
-    scenario::TestbedConfig config;
-    config.supervise.enable = true;
-    config.supervise.config.stabilityWindow = sim::seconds(5.0);
+    scenario::FleetConfig config = scenario::makeUniformFleet(1);
+    scenario::UmtsNodeSiteConfig::Supervise& supervision = config.umtsSites[0].supervise;
+    supervision.enable = true;
+    supervision.config.stabilityWindow = sim::seconds(5.0);
     // Two flaps inside the window trip the breaker: the second known
     // drop parks the link, which is the dump trigger under test.
-    config.supervise.config.breaker.flapThreshold = 2;
-    config.supervise.config.breaker.window = sim::seconds(300.0);
-    config.supervise.config.breaker.cooldown = sim::seconds(120.0);
-    scenario::Testbed tb{config};
-    tb.sim().attachLogClock();  // flight entries stamped with sim time
-    ASSERT_TRUE(tb.startUmts().ok());
-    supervise::LinkSupervisor* supervisor = tb.fleet().umtsSite(0).supervisor();
+    supervision.config.breaker.flapThreshold = 2;
+    supervision.config.breaker.window = sim::seconds(300.0);
+    supervision.config.breaker.cooldown = sim::seconds(120.0);
+    scenario::Fleet fleet{config};
+    scenario::UmtsNodeSite& napoli = fleet.umtsSite(0);
+    fleet.sim().attachLogClock();  // flight entries stamped with sim time
+    ASSERT_TRUE(napoli.startUmts().ok());
+    supervise::LinkSupervisor* supervisor = napoli.supervisor();
     ASSERT_NE(supervisor, nullptr);
 
     // Known fault plan, first event: drop the bearer 1 s from now.
-    FaultInjector firstDrop{tb.fleet(), dropAt(tb.sim().now() + sim::seconds(1.0))};
+    FaultInjector firstDrop{fleet, dropAt(fleet.now() + sim::seconds(1.0))};
     firstDrop.arm();
-    ASSERT_TRUE(settle(tb, sim::seconds(120.0), [&] {
+    ASSERT_TRUE(settle(fleet, sim::seconds(120.0), [&] {
         return supervisor->incidents() >= 1 &&
                supervisor->health() == supervise::Health::healthy;
     })) << "first drop did not recover";
     EXPECT_EQ(recorder.dumps(), 0u) << "a recovered incident must not dump";
 
     // Second known drop inside the breaker window: park + dump.
-    FaultInjector secondDrop{tb.fleet(), dropAt(tb.sim().now() + sim::seconds(1.0))};
+    FaultInjector secondDrop{fleet, dropAt(fleet.now() + sim::seconds(1.0))};
     secondDrop.arm();
-    ASSERT_TRUE(settle(tb, sim::seconds(30.0), [&] {
+    ASSERT_TRUE(settle(fleet, sim::seconds(30.0), [&] {
         return supervisor->health() == supervise::Health::failed_over;
     })) << "second drop did not trip the breaker";
     EXPECT_EQ(recorder.dumps(), 1u);

@@ -8,7 +8,7 @@
 
 #include "fault/injector.hpp"
 #include "net/tcp.hpp"
-#include "scenario/testbed.hpp"
+#include "scenario/fleet.hpp"
 #include "supervise/supervisor.hpp"
 #include "umts/bearer.hpp"
 #include "umts/network.hpp"
@@ -28,9 +28,11 @@ util::Bytes patternedBlob(std::size_t size) {
 /// A bulk upload from the Napoli slice to INRIA over the radio, with
 /// the server accumulating every delivered byte in order.
 struct TcpTransfer {
-    TcpTransfer(scenario::Testbed& tb, std::size_t totalBytes)
+    TcpTransfer(scenario::Fleet& fleet, std::size_t totalBytes)
         : blob(patternedBlob(totalBytes)) {
-        serverTcp = std::make_unique<net::TcpHost>(tb.sim(), tb.inria().stack(),
+        scenario::UmtsNodeSite& napoli = fleet.umtsSite(0);
+        scenario::WiredSite& inria = fleet.wiredSite(0);
+        serverTcp = std::make_unique<net::TcpHost>(fleet.sim(), inria.node().stack(),
                                                    util::RandomStream{202});
         EXPECT_TRUE(serverTcp
                         ->listen(8080,
@@ -42,8 +44,7 @@ struct TcpTransfer {
                                      c.onPeerClosed = [&c] { c.close(); };
                                  })
                         .ok());
-        conn = tb.napoli().tcp().connect(tb.inriaEthAddress(), 8080,
-                                         tb.umtsSlice().xid);
+        conn = napoli.node().tcp().connect(inria.address(), 8080, napoli.umtsSlice().xid);
         conn->onConnected = [this] {
             ASSERT_TRUE(conn->send({blob.data(), blob.size()}).ok());
             conn->close();
@@ -59,20 +60,22 @@ struct TcpTransfer {
 };
 
 TEST(TcpFault, RlcLossBurstMidTransferRecoversByteExact) {
-    scenario::Testbed tb;
-    ASSERT_TRUE(tb.startUmts().ok());
-    ASSERT_TRUE(tb.addUmtsDestination(tb.inriaEthAddress().str() + "/32").ok());
+    scenario::Fleet fleet{scenario::makeUniformFleet(1)};
+    scenario::UmtsNodeSite& napoli = fleet.umtsSite(0);
+    scenario::WiredSite& inria = fleet.wiredSite(0);
+    ASSERT_TRUE(napoli.startUmts().ok());
+    ASSERT_TRUE(napoli.addUmtsDestination(inria.address().str() + "/32").ok());
 
-    TcpTransfer transfer{tb, 256 * 1024};
+    TcpTransfer transfer{fleet, 256 * 1024};
     // 30% RLC loss for 8 s, early enough to land inside the transfer
     // even after the bearer upgrades to the 384 kbps DCH.
     FaultPlan plan;
-    plan.add({tb.sim().now() + sim::seconds(2.0), FaultKind::rlc_loss_burst, 0, 0.30,
+    plan.add({fleet.now() + sim::seconds(2.0), FaultKind::rlc_loss_burst, 0, 0.30,
               sim::seconds(8.0)});
-    FaultInjector injector{tb.fleet(), plan};
+    FaultInjector injector{fleet, plan};
     injector.arm();
 
-    tb.sim().runUntil(tb.sim().now() + sim::seconds(180.0));
+    fleet.runFor(sim::seconds(180.0));
 
     EXPECT_EQ(injector.stats().fired, 1u);
     EXPECT_EQ(injector.stats().skipped, 0u);
@@ -89,26 +92,29 @@ TEST(TcpFault, BearerDropMidTransferRecoversByteExact) {
     // fires NO CARRIER, the supervisor redials, the single UE gets its
     // subscriber address back from the pool, and the stalled
     // connection's RTO backoff outlives the outage.
-    scenario::TestbedConfig config;
-    config.supervise.enable = true;
-    config.supervise.config.stabilityWindow = sim::seconds(5.0);
-    config.supervise.config.redialInitialBackoff = sim::seconds(1.0);
-    config.supervise.config.redialMaxBackoff = sim::seconds(4.0);
-    scenario::Testbed tb{config};
-    ASSERT_TRUE(tb.startUmts().ok());
-    ASSERT_TRUE(tb.addUmtsDestination(tb.inriaEthAddress().str() + "/32").ok());
+    scenario::FleetConfig config = scenario::makeUniformFleet(1);
+    scenario::UmtsNodeSiteConfig::Supervise& supervision = config.umtsSites[0].supervise;
+    supervision.enable = true;
+    supervision.config.stabilityWindow = sim::seconds(5.0);
+    supervision.config.redialInitialBackoff = sim::seconds(1.0);
+    supervision.config.redialMaxBackoff = sim::seconds(4.0);
+    scenario::Fleet fleet{config};
+    scenario::UmtsNodeSite& napoli = fleet.umtsSite(0);
+    scenario::WiredSite& inria = fleet.wiredSite(0);
+    ASSERT_TRUE(napoli.startUmts().ok());
+    ASSERT_TRUE(napoli.addUmtsDestination(inria.address().str() + "/32").ok());
     const net::Ipv4Address addressBefore =
-        tb.operatorNetwork().sessionAt(0)->subscriberAddress();
+        fleet.operatorNetwork().sessionAt(0)->subscriberAddress();
 
-    TcpTransfer transfer{tb, 256 * 1024};
+    TcpTransfer transfer{fleet, 256 * 1024};
     FaultPlan plan;
-    plan.add({tb.sim().now() + sim::seconds(2.0), FaultKind::bearer_drop, 0, 0.0, {}});
-    FaultInjector injector{tb.fleet(), plan};
+    plan.add({fleet.now() + sim::seconds(2.0), FaultKind::bearer_drop, 0, 0.0, {}});
+    FaultInjector injector{fleet, plan};
     injector.arm();
 
-    const sim::SimTime deadline = tb.sim().now() + sim::seconds(300.0);
-    while (!transfer.closed && tb.sim().now() < deadline)
-        tb.sim().runUntil(tb.sim().now() + sim::seconds(1.0));
+    const sim::SimTime deadline = fleet.now() + sim::seconds(300.0);
+    while (!transfer.closed && fleet.now() < deadline)
+        fleet.runFor(sim::seconds(1.0));
 
     EXPECT_EQ(injector.stats().fired, 1u);
     EXPECT_EQ(injector.stats().skipped, 0u);
@@ -117,11 +123,11 @@ TEST(TcpFault, BearerDropMidTransferRecoversByteExact) {
     EXPECT_GT(transfer.conn->stats().timeouts, 0u);
     // The redial reclaimed the same subscriber address — that is what
     // let the old connection's 4-tuple survive the outage.
-    ASSERT_NE(tb.operatorNetwork().sessionAt(0), nullptr);
-    EXPECT_EQ(tb.operatorNetwork().sessionAt(0)->subscriberAddress(), addressBefore);
+    ASSERT_NE(fleet.operatorNetwork().sessionAt(0), nullptr);
+    EXPECT_EQ(fleet.operatorNetwork().sessionAt(0)->subscriberAddress(), addressBefore);
     // The supervisor saw the incident and recovered the link.
-    ASSERT_NE(tb.fleet().umtsSite(0).supervisor(), nullptr);
-    EXPECT_GE(tb.fleet().umtsSite(0).supervisor()->incidents(), 1);
+    ASSERT_NE(napoli.supervisor(), nullptr);
+    EXPECT_GE(napoli.supervisor()->incidents(), 1);
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "scenario/testbed.hpp"
+#include "scenario/fleet.hpp"
 
 namespace onelab::net {
 namespace {
@@ -56,59 +56,64 @@ TEST(DnsCodec, RejectsGarbage) {
 TEST(Dns, ResolveOverUmtsUsingIpcpAssignedServer) {
     // End to end: dial up, learn the DNS server from IPCP, route it
     // through the UMTS connection and resolve the INRIA hostname.
-    scenario::Testbed tb;
-    const auto started = tb.startUmts();
+    scenario::Fleet fleet{scenario::makeUniformFleet(1)};
+    scenario::UmtsNodeSite& napoli = fleet.umtsSite(0);
+    scenario::WiredSite& inria = fleet.wiredSite(0);
+    const auto started = napoli.startUmts();
     ASSERT_TRUE(started.ok());
-    const Ipv4Address dnsServer = tb.operatorNetwork().profile().dnsServer;
-    ASSERT_TRUE(tb.addUmtsDestination(dnsServer.str() + "/32").ok());
+    const Ipv4Address dnsServer = fleet.operatorNetwork().profile().dnsServer;
+    ASSERT_TRUE(napoli.addUmtsDestination(dnsServer.str() + "/32").ok());
 
-    DnsResolver resolver{tb.sim(), tb.napoli().stack(), tb.umtsSlice().xid};
+    DnsResolver resolver{fleet.sim(), napoli.node().stack(), napoli.umtsSlice().xid};
     std::optional<util::Result<Ipv4Address>> outcome;
     resolver.resolve("planetlab1.inria.fr", dnsServer,
                      [&](util::Result<Ipv4Address> r) { outcome = std::move(r); });
-    tb.sim().runUntil(tb.sim().now() + sim::seconds(5.0));
+    fleet.runFor(sim::seconds(5.0));
     ASSERT_TRUE(outcome.has_value());
     ASSERT_TRUE(outcome->ok()) << outcome->error().message;
-    EXPECT_EQ(outcome->value(), tb.inriaEthAddress());
-    EXPECT_GE(tb.operatorNetwork().dns().queriesServed(), 1u);
+    EXPECT_EQ(outcome->value(), inria.address());
+    EXPECT_GE(fleet.operatorNetwork().dns().queriesServed(), 1u);
     // The query really went over ppp0.
-    EXPECT_GT(tb.napoli().stack().findInterface("ppp0")->counters().txPackets, 0u);
+    EXPECT_GT(napoli.node().stack().findInterface("ppp0")->counters().txPackets, 0u);
 }
 
 TEST(Dns, UnknownNameIsNxdomain) {
-    scenario::Testbed tb;
-    ASSERT_TRUE(tb.startUmts().ok());
-    const Ipv4Address dnsServer = tb.operatorNetwork().profile().dnsServer;
-    ASSERT_TRUE(tb.addUmtsDestination(dnsServer.str() + "/32").ok());
-    DnsResolver resolver{tb.sim(), tb.napoli().stack(), tb.umtsSlice().xid};
+    scenario::Fleet fleet{scenario::makeUniformFleet(1)};
+    scenario::UmtsNodeSite& napoli = fleet.umtsSite(0);
+    ASSERT_TRUE(napoli.startUmts().ok());
+    const Ipv4Address dnsServer = fleet.operatorNetwork().profile().dnsServer;
+    ASSERT_TRUE(napoli.addUmtsDestination(dnsServer.str() + "/32").ok());
+    DnsResolver resolver{fleet.sim(), napoli.node().stack(), napoli.umtsSlice().xid};
     std::optional<util::Result<Ipv4Address>> outcome;
     resolver.resolve("no.such.host", dnsServer,
                      [&](util::Result<Ipv4Address> r) { outcome = std::move(r); });
-    tb.sim().runUntil(tb.sim().now() + sim::seconds(5.0));
+    fleet.runFor(sim::seconds(5.0));
     ASSERT_TRUE(outcome.has_value());
     ASSERT_FALSE(outcome->ok());
     EXPECT_EQ(outcome->error().code, util::Error::Code::not_found);
 }
 
 TEST(Dns, TimeoutWhenServerUnreachable) {
-    scenario::Testbed tb;
+    scenario::Fleet fleet{scenario::makeUniformFleet(1)};
+    scenario::UmtsNodeSite& napoli = fleet.umtsSite(0);
     // No UMTS, and the operator DNS is not reachable from eth0 routing
     // (it is, actually, via the announced pool prefix — so point at a
     // bogus server instead).
-    DnsResolver resolver{tb.sim(), tb.napoli().stack(), 0};
+    DnsResolver resolver{fleet.sim(), napoli.node().stack(), 0};
     std::optional<util::Result<Ipv4Address>> outcome;
     resolver.resolve("planetlab1.inria.fr", Ipv4Address{203, 0, 113, 53},
                      [&](util::Result<Ipv4Address> r) { outcome = std::move(r); },
                      sim::millis(500), 1);
-    tb.sim().runUntil(tb.sim().now() + sim::seconds(5.0));
+    fleet.runFor(sim::seconds(5.0));
     ASSERT_TRUE(outcome.has_value());
     ASSERT_FALSE(outcome->ok());
     EXPECT_EQ(outcome->error().code, util::Error::Code::timeout);
 }
 
 TEST(Dns, ResolverBusyRejectsSecondQuery) {
-    scenario::Testbed tb;
-    DnsResolver resolver{tb.sim(), tb.napoli().stack(), 0};
+    scenario::Fleet fleet{scenario::makeUniformFleet(1)};
+    scenario::UmtsNodeSite& napoli = fleet.umtsSite(0);
+    DnsResolver resolver{fleet.sim(), napoli.node().stack(), 0};
     resolver.resolve("a.example", Ipv4Address{203, 0, 113, 53},
                      [](util::Result<Ipv4Address>) {});
     std::optional<util::Error::Code> code;

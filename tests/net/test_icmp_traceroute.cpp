@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "net/traceroute.hpp"
-#include "scenario/testbed.hpp"
+#include "scenario/fleet.hpp"
 
 namespace onelab::net {
 namespace {
@@ -48,80 +48,89 @@ TEST(IcmpError, ErrorSurvivesSerialization) {
 }
 
 TEST(IcmpError, PortUnreachableGeneratedOnClosedPort) {
-    scenario::Testbed tb;
+    scenario::Fleet fleet{scenario::makeUniformFleet(1)};
+    scenario::UmtsNodeSite& napoli = fleet.umtsSite(0);
+    scenario::WiredSite& inria = fleet.wiredSite(0);
     int errors = 0;
     std::uint8_t lastType = 0;
-    tb.napoli().stack().setIcmpErrorHandler([&](const Packet& pkt) {
+    napoli.node().stack().setIcmpErrorHandler([&](const Packet& pkt) {
         ++errors;
         lastType = pkt.icmp.type;
     });
-    auto socket = tb.napoli().openSliceUdp(tb.umtsSlice()).value();
-    ASSERT_TRUE(socket->sendTo(tb.inriaEthAddress(), 44444, util::Bytes{1}).ok());
-    tb.sim().runUntil(sim::seconds(1.0));
+    auto socket = napoli.node().openSliceUdp(napoli.umtsSlice()).value();
+    ASSERT_TRUE(socket->sendTo(inria.address(), 44444, util::Bytes{1}).ok());
+    fleet.runUntil(sim::seconds(1.0));
     EXPECT_EQ(errors, 1);
     EXPECT_EQ(lastType, icmp_type::dest_unreachable);
 }
 
 TEST(IcmpError, SuppressedWhenDisabled) {
-    scenario::Testbed tb;
-    tb.inria().stack().setIcmpErrorsEnabled(false);
+    scenario::Fleet fleet{scenario::makeUniformFleet(1)};
+    scenario::UmtsNodeSite& napoli = fleet.umtsSite(0);
+    scenario::WiredSite& inria = fleet.wiredSite(0);
+    inria.node().stack().setIcmpErrorsEnabled(false);
     int errors = 0;
-    tb.napoli().stack().setIcmpErrorHandler([&](const Packet&) { ++errors; });
-    auto socket = tb.napoli().openSliceUdp(tb.umtsSlice()).value();
-    ASSERT_TRUE(socket->sendTo(tb.inriaEthAddress(), 44444, util::Bytes{1}).ok());
-    tb.sim().runUntil(sim::seconds(1.0));
+    napoli.node().stack().setIcmpErrorHandler([&](const Packet&) { ++errors; });
+    auto socket = napoli.node().openSliceUdp(napoli.umtsSlice()).value();
+    ASSERT_TRUE(socket->sendTo(inria.address(), 44444, util::Bytes{1}).ok());
+    fleet.runUntil(sim::seconds(1.0));
     EXPECT_EQ(errors, 0);
 }
 
 TEST(Traceroute, EthernetPathIsOneHop) {
-    scenario::Testbed tb;
-    Traceroute traceroute{tb.sim(), tb.napoli().stack()};
+    scenario::Fleet fleet{scenario::makeUniformFleet(1)};
+    scenario::UmtsNodeSite& napoli = fleet.umtsSite(0);
+    scenario::WiredSite& inria = fleet.wiredSite(0);
+    Traceroute traceroute{fleet.sim(), napoli.node().stack()};
     std::optional<std::vector<TracerouteHop>> hops;
-    traceroute.run(tb.inriaEthAddress(),
+    traceroute.run(inria.address(),
                    [&](std::vector<TracerouteHop> h) { hops = std::move(h); });
-    tb.sim().runUntil(sim::seconds(10.0));
+    fleet.runUntil(sim::seconds(10.0));
     ASSERT_TRUE(hops.has_value());
     ASSERT_EQ(hops->size(), 1u);
     EXPECT_TRUE(hops->at(0).reachedDestination);
-    EXPECT_EQ(hops->at(0).router, tb.inriaEthAddress());
+    EXPECT_EQ(hops->at(0).router, inria.address());
     EXPECT_GT(sim::toMillis(hops->at(0).rtt), 15.0);
 }
 
 TEST(Traceroute, UmtsPathShowsGgsnThenDestination) {
-    scenario::Testbed tb;
-    ASSERT_TRUE(tb.startUmts().ok());
-    ASSERT_TRUE(tb.addUmtsDestination(tb.inriaEthAddress().str() + "/32").ok());
+    scenario::Fleet fleet{scenario::makeUniformFleet(1)};
+    scenario::UmtsNodeSite& napoli = fleet.umtsSite(0);
+    scenario::WiredSite& inria = fleet.wiredSite(0);
+    ASSERT_TRUE(napoli.startUmts().ok());
+    ASSERT_TRUE(napoli.addUmtsDestination(inria.address().str() + "/32").ok());
 
-    Traceroute traceroute{tb.sim(), tb.napoli().stack()};
+    Traceroute traceroute{fleet.sim(), napoli.node().stack()};
     TracerouteOptions options;
-    options.sliceXid = tb.umtsSlice().xid;  // marked -> rides ppp0
+    options.sliceXid = napoli.umtsSlice().xid;  // marked -> rides ppp0
     std::optional<std::vector<TracerouteHop>> hops;
-    traceroute.run(tb.inriaEthAddress(),
+    traceroute.run(inria.address(),
                    [&](std::vector<TracerouteHop> h) { hops = std::move(h); }, options);
-    tb.sim().runUntil(tb.sim().now() + sim::seconds(30.0));
+    fleet.runFor(sim::seconds(30.0));
     ASSERT_TRUE(hops.has_value());
     ASSERT_EQ(hops->size(), 2u);
     // Hop 1: the GGSN (time exceeded), across the radio.
     EXPECT_FALSE(hops->at(0).reachedDestination);
-    EXPECT_EQ(hops->at(0).router, tb.operatorNetwork().profile().ggsnAddress);
+    EXPECT_EQ(hops->at(0).router, fleet.operatorNetwork().profile().ggsnAddress);
     EXPECT_GT(sim::toMillis(hops->at(0).rtt), 100.0);
     // Hop 2: INRIA (port unreachable, RELATED-admitted through the
     // operator firewall).
     EXPECT_TRUE(hops->at(1).reachedDestination);
-    EXPECT_EQ(hops->at(1).router, tb.inriaEthAddress());
+    EXPECT_EQ(hops->at(1).router, inria.address());
     EXPECT_GT(hops->at(1).rtt, hops->at(0).rtt / 2);
 }
 
 TEST(Traceroute, UnroutableDestinationTimesOut) {
-    scenario::Testbed tb;
-    Traceroute traceroute{tb.sim(), tb.napoli().stack()};
+    scenario::Fleet fleet{scenario::makeUniformFleet(1)};
+    scenario::UmtsNodeSite& napoli = fleet.umtsSite(0);
+    Traceroute traceroute{fleet.sim(), napoli.node().stack()};
     TracerouteOptions options;
     options.maxHops = 2;
     options.probeTimeout = sim::seconds(1.0);
     std::optional<std::vector<TracerouteHop>> hops;
     traceroute.run(Ipv4Address{203, 0, 113, 99},
                    [&](std::vector<TracerouteHop> h) { hops = std::move(h); }, options);
-    tb.sim().runUntil(sim::seconds(10.0));
+    fleet.runUntil(sim::seconds(10.0));
     ASSERT_TRUE(hops.has_value());
     ASSERT_EQ(hops->size(), 2u);
     EXPECT_TRUE(hops->at(0).timedOut);

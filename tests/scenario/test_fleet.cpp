@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "obs/registry.hpp"
-#include "scenario/testbed.hpp"
 #include "umtsctl/frontend.hpp"
 
 namespace onelab::scenario {
@@ -57,13 +56,6 @@ TEST(Fleet, StartAllCollectsPerSiteFailuresAndKeepsSurvivorsUp) {
     EXPECT_DOUBLE_EQ(
         obs::Registry::instance().counter("fleet.start_failures").value(),
         failuresBefore + 1);
-}
-
-TEST(Fleet, TestbedFacadeIsAOneUeFleet) {
-    Testbed tb;
-    EXPECT_EQ(tb.fleet().umtsSiteCount(), 1u);
-    EXPECT_EQ(tb.fleet().wiredSiteCount(), 1u);
-    EXPECT_EQ(&tb.napoli(), &tb.fleet().umtsSite(0).node());
 }
 
 TEST(Fleet, StopReturnsCellCapacity) {

@@ -8,103 +8,50 @@
 #include "ditg/decoder.hpp"
 #include "ditg/receiver.hpp"
 #include "ditg/sender.hpp"
-#include "scenario/testbed.hpp"
+#include "scenario/fleet.hpp"
 
 namespace onelab::scenario {
 namespace {
 
-struct SecondSite {
-    explicit SecondSite(Testbed& tb)
-        : node(tb.sim(), "planetlab1.polito.it"), tty(tb.sim()) {
-        net::Interface& eth = node.stack().addInterface("eth0");
-        eth.setAddress(net::Ipv4Address{130, 192, 16, 5});
-        eth.setUp(true);
-        tb.internet().attach(eth, net::AccessLink{});
-        node.stack().router().table(net::PolicyRouter::kMainTable)
-            .addRoute({net::Prefix::any(), "eth0", std::nullopt, 0});
-
-        modem::ModemConfig modemConfig;
-        modemConfig.imsi = "222880000000002";
-        modemConfig.pin = "1234";
-        card = std::make_unique<modem::HuaweiE620Modem>(tb.sim(), &tb.operatorNetwork(),
-                                                        modemConfig);
-        card->attachTty(tty.b());
-
-        slice = &node.createSlice("polito_umts");
-        umtsctl::UmtsBackendConfig backendConfig;
-        backendConfig.comgt.pin = "1234";
-        backendConfig.comgt.extraInit = {"AT^CURC=0"};
-        backendConfig.dialer.apn = tb.operatorNetwork().profile().apn;
-        backendConfig.requiredModules.push_back("pl2303");
-        backend = std::make_unique<umtsctl::UmtsBackend>(tb.sim(), node, tty.a(),
-                                                         backendConfig);
-        backend->dropDtr = [this] { card->dropDtr(); };
-        card->onCarrierLost = [this] { backend->notifyCarrierLost(); };
-        backend->installVsys();
-        node.vsys().allow("umts", slice->name);
-        frontend = std::make_unique<umtsctl::UmtsFrontend>(node, *slice);
-    }
-
-    util::Result<umtsctl::UmtsReport> start(Testbed& tb) {
-        std::optional<util::Result<umtsctl::UmtsReport>> outcome;
-        frontend->start([&](util::Result<umtsctl::UmtsReport> r) { outcome = std::move(r); });
-        const sim::SimTime deadline = tb.sim().now() + sim::seconds(60.0);
-        while (!outcome && tb.sim().now() < deadline)
-            tb.sim().runUntil(tb.sim().now() + sim::millis(100));
-        if (!outcome) return util::err(util::Error::Code::timeout, "second-site start timeout");
-        return std::move(*outcome);
-    }
-
-    pl::NodeOs node;
-    sim::Pipe tty;
-    std::unique_ptr<modem::UmtsModem> card;
-    pl::Slice* slice = nullptr;
-    std::unique_ptr<umtsctl::UmtsBackend> backend;
-    std::unique_ptr<umtsctl::UmtsFrontend> frontend;
-};
-
 TEST(MultiNode, TwoSitesHoldIndependentPdpContexts) {
-    Testbed tb;
-    SecondSite polito{tb};
+    Fleet fleet{makeUniformFleet(2)};
+    UmtsNodeSite& napoli = fleet.umtsSite(0);
+    UmtsNodeSite& second = fleet.umtsSite(1);
 
-    const auto first = tb.startUmts();
+    const auto first = napoli.startUmts();
     ASSERT_TRUE(first.ok()) << first.error().message;
-    const auto second = polito.start(tb);
-    ASSERT_TRUE(second.ok()) << second.error().message;
+    const auto other = second.startUmts();
+    ASSERT_TRUE(other.ok()) << other.error().message;
 
-    EXPECT_EQ(tb.operatorNetwork().activeSessions(), 2u);
-    EXPECT_NE(first.value().address, second.value().address);
-    EXPECT_TRUE(tb.operatorNetwork().profile().subscriberPool.contains(second.value().address));
+    EXPECT_EQ(fleet.operatorNetwork().activeSessions(), 2u);
+    EXPECT_NE(first.value().address, other.value().address);
+    EXPECT_TRUE(fleet.operatorNetwork().profile().subscriberPool.contains(other.value().address));
     // Each node has its own ppp0 with its own address.
-    EXPECT_EQ(tb.napoli().stack().findInterface("ppp0")->address(), first.value().address);
-    EXPECT_EQ(polito.node.stack().findInterface("ppp0")->address(), second.value().address);
+    EXPECT_EQ(napoli.node().stack().findInterface("ppp0")->address(), first.value().address);
+    EXPECT_EQ(second.node().stack().findInterface("ppp0")->address(), other.value().address);
 }
 
 TEST(MultiNode, ConcurrentFlowsFromBothSites) {
-    Testbed tb;
-    SecondSite polito{tb};
-    ASSERT_TRUE(tb.startUmts().ok());
-    ASSERT_TRUE(polito.start(tb).ok());
-    ASSERT_TRUE(tb.addUmtsDestination(tb.inriaEthAddress().str() + "/32").ok());
-    {
-        std::optional<util::Result<void>> added;
-        polito.frontend->addDestination(tb.inriaEthAddress().str() + "/32",
-                                        [&](util::Result<void> r) { added = std::move(r); });
-        tb.sim().runUntil(tb.sim().now() + sim::millis(100));
-        ASSERT_TRUE(added && added->ok());
-    }
+    Fleet fleet{makeUniformFleet(2)};
+    UmtsNodeSite& napoli = fleet.umtsSite(0);
+    UmtsNodeSite& second = fleet.umtsSite(1);
+    WiredSite& inria = fleet.wiredSite(0);
+    ASSERT_TRUE(napoli.startUmts().ok());
+    ASSERT_TRUE(second.startUmts().ok());
+    ASSERT_TRUE(napoli.addUmtsDestination(inria.address().str() + "/32").ok());
+    ASSERT_TRUE(second.addUmtsDestination(inria.address().str() + "/32").ok());
 
-    auto rxSocket = tb.inria().openSliceUdp(tb.inriaSlice(), 9001).value();
+    auto rxSocket = inria.node().openSliceUdp(inria.firstSlice(), 9001).value();
     ditg::ItgRecv receiver{*rxSocket};
-    auto socketA = tb.napoli().openSliceUdp(tb.umtsSlice()).value();
-    auto socketB = polito.node.openSliceUdp(*polito.slice).value();
-    ditg::ItgSend senderA{tb.sim(), *socketA, ditg::voipG711Flow(1, 20.0),
-                          tb.inriaEthAddress(), 9001, util::RandomStream{1}};
-    ditg::ItgSend senderB{tb.sim(), *socketB, ditg::voipG711Flow(2, 20.0),
-                          tb.inriaEthAddress(), 9001, util::RandomStream{2}};
+    auto socketA = napoli.node().openSliceUdp(napoli.umtsSlice()).value();
+    auto socketB = second.node().openSliceUdp(second.umtsSlice()).value();
+    ditg::ItgSend senderA{fleet.sim(), *socketA, ditg::voipG711Flow(1, 20.0), inria.address(),
+                          9001, util::RandomStream{1}};
+    ditg::ItgSend senderB{fleet.sim(), *socketB, ditg::voipG711Flow(2, 20.0), inria.address(),
+                          9001, util::RandomStream{2}};
     senderA.start();
     senderB.start();
-    tb.sim().runUntil(tb.sim().now() + sim::seconds(25.0));
+    fleet.runFor(sim::seconds(25.0));
 
     // Both flows ride their own bearers: full delivery, no cross-talk.
     const auto summaryA = ditg::ItgDec::summarize(senderA.log(), receiver.log(1));
@@ -120,20 +67,21 @@ TEST(MultiNode, ConcurrentFlowsFromBothSites) {
 }
 
 TEST(MultiNode, OneSiteStoppingDoesNotDisturbTheOther) {
-    Testbed tb;
-    SecondSite polito{tb};
-    ASSERT_TRUE(tb.startUmts().ok());
-    ASSERT_TRUE(polito.start(tb).ok());
-    ASSERT_TRUE(tb.stopUmts().ok());
-    EXPECT_EQ(tb.operatorNetwork().activeSessions(), 1u);
+    Fleet fleet{makeUniformFleet(2)};
+    UmtsNodeSite& napoli = fleet.umtsSite(0);
+    UmtsNodeSite& second = fleet.umtsSite(1);
+    ASSERT_TRUE(napoli.startUmts().ok());
+    ASSERT_TRUE(second.startUmts().ok());
+    ASSERT_TRUE(napoli.stopUmts().ok());
+    EXPECT_EQ(fleet.operatorNetwork().activeSessions(), 1u);
     // The surviving site still has a working connection.
-    EXPECT_NE(polito.node.stack().findInterface("ppp0"), nullptr);
-    EXPECT_TRUE(polito.backend->state().connected);
+    EXPECT_NE(second.node().stack().findInterface("ppp0"), nullptr);
+    EXPECT_TRUE(second.backend().state().connected);
     // And its slice can still emit traffic through it.
-    auto socket = polito.node.openSliceUdp(*polito.slice).value();
-    socket->bindAddress(polito.node.stack().findInterface("ppp0")->address());
-    EXPECT_TRUE(socket->sendTo(tb.inriaEthAddress(), 9001, util::Bytes{1}).ok());
-    EXPECT_EQ(polito.node.stack().findInterface("ppp0")->counters().txPackets, 1u);
+    auto socket = second.node().openSliceUdp(second.umtsSlice()).value();
+    socket->bindAddress(second.node().stack().findInterface("ppp0")->address());
+    EXPECT_TRUE(socket->sendTo(fleet.wiredSite(0).address(), 9001, util::Bytes{1}).ok());
+    EXPECT_EQ(second.node().stack().findInterface("ppp0")->counters().txPackets, 1u);
 }
 
 }  // namespace

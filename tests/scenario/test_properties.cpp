@@ -46,32 +46,35 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SeededCbr, ::testing::Values(2, 11, 314, 2718));
 class SeededIsolation : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(SeededIsolation, NoForeignPacketEverCrossesPpp0) {
-    TestbedConfig config;
-    config.seed = GetParam();
-    Testbed tb{config};
-    const auto started = tb.startUmts();
+    FleetConfig config = makeUniformFleet(1, GetParam());
+    config.umtsSites[0].extraSliceNames = {"unina_other"};
+    Fleet fleet{config};
+    UmtsNodeSite& napoli = fleet.umtsSite(0);
+    WiredSite& inria = fleet.wiredSite(0);
+    pl::Slice& other = *napoli.slice("unina_other");
+    const auto started = napoli.startUmts();
     ASSERT_TRUE(started.ok());
-    ASSERT_TRUE(tb.addUmtsDestination(tb.inriaEthAddress().str() + "/32").ok());
-    net::Interface* ppp = tb.napoli().stack().findInterface("ppp0");
+    ASSERT_TRUE(napoli.addUmtsDestination(inria.address().str() + "/32").ok());
+    net::Interface* ppp = napoli.node().stack().findInterface("ppp0");
     ASSERT_NE(ppp, nullptr);
 
     // Fire a barrage of hostile traffic from the other slice: bound to
     // the UMTS address, to the registered destination, to the peer —
     // none of it may transit ppp0.
-    auto hostile = tb.napoli().openSliceUdp(tb.otherSlice()).value();
-    auto hostileBound = tb.napoli().openSliceUdp(tb.otherSlice()).value();
+    auto hostile = napoli.node().openSliceUdp(other).value();
+    auto hostileBound = napoli.node().openSliceUdp(other).value();
     hostileBound->bindAddress(started.value().address);
     for (int i = 0; i < 20; ++i) {
-        (void)hostile->sendTo(tb.inriaEthAddress(), 9001, util::Bytes{1});
-        (void)hostile->sendTo(tb.operatorNetwork().profile().ggsnAddress, 22, util::Bytes{1});
-        (void)hostileBound->sendTo(tb.inriaEthAddress(), 9001, util::Bytes{1});
-        tb.sim().runUntil(tb.sim().now() + sim::millis(50));
+        (void)hostile->sendTo(inria.address(), 9001, util::Bytes{1});
+        (void)hostile->sendTo(fleet.operatorNetwork().profile().ggsnAddress, 22, util::Bytes{1});
+        (void)hostileBound->sendTo(inria.address(), 9001, util::Bytes{1});
+        fleet.runFor(sim::millis(50));
     }
     EXPECT_EQ(ppp->counters().txPackets, 0u);
 
     // The owner still gets through afterwards.
-    auto owner = tb.napoli().openSliceUdp(tb.umtsSlice()).value();
-    ASSERT_TRUE(owner->sendTo(tb.inriaEthAddress(), 9001, util::Bytes{1}).ok());
+    auto owner = napoli.node().openSliceUdp(napoli.umtsSlice()).value();
+    ASSERT_TRUE(owner->sendTo(inria.address(), 9001, util::Bytes{1}).ok());
     EXPECT_EQ(ppp->counters().txPackets, 1u);
 }
 

@@ -4,22 +4,24 @@
 #include <gtest/gtest.h>
 
 #include "net/tcp.hpp"
-#include "scenario/testbed.hpp"
+#include "scenario/fleet.hpp"
 
 namespace onelab::scenario {
 namespace {
 
 struct TcpUmtsTest : ::testing::Test {
     TcpUmtsTest() {
-        EXPECT_TRUE(tb.startUmts().ok());
-        EXPECT_TRUE(tb.addUmtsDestination(tb.inriaEthAddress().str() + "/32").ok());
-        clientTcp = std::make_unique<net::TcpHost>(tb.sim(), tb.napoli().stack(),
+        EXPECT_TRUE(napoli.startUmts().ok());
+        EXPECT_TRUE(napoli.addUmtsDestination(inria.address().str() + "/32").ok());
+        clientTcp = std::make_unique<net::TcpHost>(fleet.sim(), napoli.node().stack(),
                                                    util::RandomStream{101});
-        serverTcp = std::make_unique<net::TcpHost>(tb.sim(), tb.inria().stack(),
+        serverTcp = std::make_unique<net::TcpHost>(fleet.sim(), inria.node().stack(),
                                                    util::RandomStream{102});
     }
 
-    Testbed tb;
+    Fleet fleet{makeUniformFleet(1)};
+    UmtsNodeSite& napoli = fleet.umtsSite(0);
+    WiredSite& inria = fleet.wiredSite(0);
     std::unique_ptr<net::TcpHost> clientTcp;
     std::unique_ptr<net::TcpHost> serverTcp;
 };
@@ -34,21 +36,21 @@ TEST_F(TcpUmtsTest, BulkUploadCompletesOverTheRadio) {
                              })
                     .ok());
     net::TcpConnection* conn =
-        clientTcp->connect(tb.inriaEthAddress(), 8080, tb.umtsSlice().xid);
+        clientTcp->connect(inria.address(), 8080, napoli.umtsSlice().xid);
     constexpr std::size_t kTotal = 100 * 1024;
-    const sim::SimTime start = tb.sim().now();
+    const sim::SimTime start = fleet.now();
     std::optional<sim::SimTime> doneAt;
     conn->onConnected = [&] {
         const util::Bytes blob(kTotal, 0x77);
         ASSERT_TRUE(conn->send({blob.data(), blob.size()}).ok());
         conn->close();
     };
-    conn->onClosed = [&] { doneAt = tb.sim().now(); };
-    tb.sim().runUntil(tb.sim().now() + sim::seconds(120.0));
+    conn->onClosed = [&] { doneAt = fleet.now(); };
+    fleet.runFor(sim::seconds(120.0));
 
     EXPECT_EQ(received, kTotal);
     // The SYN rode ppp0 (marked slice traffic to the registered dst).
-    EXPECT_GT(tb.napoli().stack().findInterface("ppp0")->counters().txPackets, 50u);
+    EXPECT_GT(napoli.node().stack().findInterface("ppp0")->counters().txPackets, 50u);
     // Goodput bounded by the 144 kbps DCH: the 100 KiB take > 5 s but
     // complete well before the 120 s horizon.
     ASSERT_TRUE(doneAt.has_value());
@@ -61,11 +63,11 @@ TEST_F(TcpUmtsTest, UploadInflatesLatencyForConcurrentTraffic) {
     // Bufferbloat: the deep RLC buffer turns a bulk TCP upload into
     // seconds of extra delay for everything sharing the link.
     std::optional<net::PingReply> idlePing;
-    ASSERT_TRUE(tb.napoli().stack()
-                    .ping(tb.inriaEthAddress(), [&](net::PingReply r) { idlePing = r; },
-                          tb.umtsSlice().xid)
+    ASSERT_TRUE(napoli.node().stack()
+                    .ping(inria.address(), [&](net::PingReply r) { idlePing = r; },
+                          napoli.umtsSlice().xid)
                     .ok());
-    tb.sim().runUntil(tb.sim().now() + sim::seconds(5.0));
+    fleet.runFor(sim::seconds(5.0));
     ASSERT_TRUE(idlePing.has_value());
     const double idleMs = sim::toMillis(idlePing->rtt);
 
@@ -73,19 +75,19 @@ TEST_F(TcpUmtsTest, UploadInflatesLatencyForConcurrentTraffic) {
         c.onData = [](util::ByteView) {};
     }).ok());
     net::TcpConnection* conn =
-        clientTcp->connect(tb.inriaEthAddress(), 8080, tb.umtsSlice().xid);
+        clientTcp->connect(inria.address(), 8080, napoli.umtsSlice().xid);
     conn->onConnected = [&] {
         const util::Bytes blob(512 * 1024, 0x11);
         (void)conn->send({blob.data(), blob.size()});
     };
     // Let the upload fill the RLC buffer, then ping again.
-    tb.sim().runUntil(tb.sim().now() + sim::seconds(15.0));
+    fleet.runFor(sim::seconds(15.0));
     std::optional<net::PingReply> loadedPing;
-    ASSERT_TRUE(tb.napoli().stack()
-                    .ping(tb.inriaEthAddress(), [&](net::PingReply r) { loadedPing = r; },
-                          tb.umtsSlice().xid)
+    ASSERT_TRUE(napoli.node().stack()
+                    .ping(inria.address(), [&](net::PingReply r) { loadedPing = r; },
+                          napoli.umtsSlice().xid)
                     .ok());
-    tb.sim().runUntil(tb.sim().now() + sim::seconds(15.0));
+    fleet.runFor(sim::seconds(15.0));
     ASSERT_TRUE(loadedPing.has_value());
     const double loadedMs = sim::toMillis(loadedPing->rtt);
 
@@ -106,15 +108,15 @@ TEST_F(TcpUmtsTest, DownloadRidesTheFatDownlink) {
                              })
                     .ok());
     net::TcpConnection* conn =
-        clientTcp->connect(tb.inriaEthAddress(), 8080, tb.umtsSlice().xid);
-    const sim::SimTime start = tb.sim().now();
+        clientTcp->connect(inria.address(), 8080, napoli.umtsSlice().xid);
+    const sim::SimTime start = fleet.now();
     std::optional<sim::SimTime> doneAt;
     conn->onData = [&](util::ByteView d) { received += d.size(); };
     conn->onPeerClosed = [&] {
-        doneAt = tb.sim().now();
+        doneAt = fleet.now();
         conn->close();
     };
-    tb.sim().runUntil(tb.sim().now() + sim::seconds(120.0));
+    fleet.runFor(sim::seconds(120.0));
     EXPECT_EQ(received, 200u * 1024);
     ASSERT_TRUE(doneAt.has_value());
     // 200 KiB at 1.8 Mbps is ~1 s (plus handshake/ACK clocking); far

@@ -1,4 +1,4 @@
-#include "scenario/testbed.hpp"
+#include "scenario/fleet.hpp"
 
 #include <gtest/gtest.h>
 
@@ -6,33 +6,46 @@ namespace onelab::scenario {
 namespace {
 
 TEST(Testbed, ConstructsPaperTopology) {
-    Testbed tb;
-    EXPECT_EQ(tb.napoli().hostname(), "planetlab1.unina.it");
-    EXPECT_EQ(tb.inria().hostname(), "planetlab1.inria.fr");
-    EXPECT_EQ(tb.operatorNetwork().profile().name, "commercial-it");
-    EXPECT_NE(tb.napoli().findSlice(tb.config().umtsSliceName), nullptr);
-    EXPECT_TRUE(tb.napoli().vsys().isAllowed("umts", tb.config().umtsSliceName));
-    EXPECT_FALSE(tb.napoli().vsys().isAllowed("umts", tb.config().otherSliceName));
+    // The paper's §3 testbed is the 1-UE fleet.
+    Fleet fleet{makeUniformFleet(1)};
+    ASSERT_EQ(fleet.umtsSiteCount(), 1u);
+    ASSERT_EQ(fleet.wiredSiteCount(), 1u);
+    UmtsNodeSite& napoli = fleet.umtsSite(0);
+    WiredSite& inria = fleet.wiredSite(0);
+    EXPECT_EQ(napoli.node().hostname(), "planetlab1.unina.it");
+    EXPECT_EQ(napoli.ethAddress(), (net::Ipv4Address{143, 225, 229, 10}));
+    EXPECT_EQ(napoli.imsi(), "222880000000001");
+    EXPECT_EQ(inria.node().hostname(), "planetlab1.inria.fr");
+    EXPECT_EQ(inria.address(), (net::Ipv4Address{138, 96, 250, 20}));
+    EXPECT_EQ(inria.firstSlice().name, "inria_recv");
+    EXPECT_EQ(fleet.operatorNetwork().profile().name, "commercial-it");
+    EXPECT_NE(napoli.node().findSlice("unina_umts"), nullptr);
+    EXPECT_TRUE(napoli.node().vsys().isAllowed("umts", "unina_umts"));
+    EXPECT_FALSE(napoli.node().vsys().isAllowed("umts", "unina_other"));
 }
 
 TEST(Testbed, EthernetPathWorksWithoutUmts) {
-    Testbed tb;
-    auto rx = tb.inria().openSliceUdp(tb.inriaSlice(), 9001).value();
+    Fleet fleet{makeUniformFleet(1)};
+    UmtsNodeSite& napoli = fleet.umtsSite(0);
+    WiredSite& inria = fleet.wiredSite(0);
+    auto rx = inria.node().openSliceUdp(inria.firstSlice(), 9001).value();
     int got = 0;
     rx->onReceive([&](net::Datagram) { ++got; });
-    auto tx = tb.napoli().openSliceUdp(tb.umtsSlice()).value();
-    ASSERT_TRUE(tx->sendTo(tb.inriaEthAddress(), 9001, util::Bytes{1}).ok());
-    tb.sim().runUntil(sim::seconds(1.0));
+    auto tx = napoli.node().openSliceUdp(napoli.umtsSlice()).value();
+    ASSERT_TRUE(tx->sendTo(inria.address(), 9001, util::Bytes{1}).ok());
+    fleet.runUntil(sim::seconds(1.0));
     EXPECT_EQ(got, 1);
 }
 
 TEST(Testbed, EthernetRttAroundTwentyMs) {
-    Testbed tb;
+    Fleet fleet{makeUniformFleet(1)};
+    UmtsNodeSite& napoli = fleet.umtsSite(0);
+    WiredSite& inria = fleet.wiredSite(0);
     std::optional<net::PingReply> reply;
-    ASSERT_TRUE(tb.napoli().stack()
-                    .ping(tb.inriaEthAddress(), [&](net::PingReply r) { reply = r; })
+    ASSERT_TRUE(napoli.node().stack()
+                    .ping(inria.address(), [&](net::PingReply r) { reply = r; })
                     .ok());
-    tb.sim().runUntil(sim::seconds(1.0));
+    fleet.runUntil(sim::seconds(1.0));
     ASSERT_TRUE(reply.has_value());
     const double rttMs = sim::toMillis(reply->rtt);
     EXPECT_GT(rttMs, 15.0);
@@ -40,46 +53,49 @@ TEST(Testbed, EthernetRttAroundTwentyMs) {
 }
 
 TEST(Testbed, StartUmtsEndToEnd) {
-    Testbed tb;
-    const auto started = tb.startUmts();
+    Fleet fleet{makeUniformFleet(1)};
+    UmtsNodeSite& napoli = fleet.umtsSite(0);
+    const auto started = napoli.startUmts();
     ASSERT_TRUE(started.ok()) << started.error().message;
     EXPECT_TRUE(started.value().connected);
     // Takes realistic setup time: registration + dial + PPP.
-    EXPECT_GT(sim::toSeconds(tb.sim().now()), 3.0);
-    EXPECT_LT(sim::toSeconds(tb.sim().now()), 20.0);
+    EXPECT_GT(sim::toSeconds(fleet.now()), 3.0);
+    EXPECT_LT(sim::toSeconds(fleet.now()), 20.0);
 }
 
 TEST(Testbed, GlobetrotterCardVariant) {
-    TestbedConfig config;
-    config.card = CardKind::globetrotter;
-    Testbed tb{config};
-    const auto started = tb.startUmts();
+    FleetConfig config = makeUniformFleet(1);
+    config.umtsSites[0].card = CardKind::globetrotter;
+    Fleet fleet{config};
+    UmtsNodeSite& napoli = fleet.umtsSite(0);
+    const auto started = napoli.startUmts();
     ASSERT_TRUE(started.ok()) << started.error().message;
-    EXPECT_EQ(tb.card().identity().manufacturer, "Option N.V.");
+    EXPECT_EQ(napoli.card().identity().manufacturer, "Option N.V.");
 }
 
 TEST(Testbed, MicrocellOperatorVariant) {
-    TestbedConfig config;
-    config.operatorProfile = umts::alcatelLucentMicrocell();
-    Testbed tb{config};
-    const auto started = tb.startUmts();
+    Fleet fleet{makeUniformFleet(1, 42, umts::alcatelLucentMicrocell())};
+    UmtsNodeSite& napoli = fleet.umtsSite(0);
+    const auto started = napoli.startUmts();
     ASSERT_TRUE(started.ok()) << started.error().message;
     EXPECT_EQ(started.value().operatorName, "ALU 3G Reality Center");
-    EXPECT_TRUE(tb.operatorNetwork().profile().subscriberPool.contains(
+    EXPECT_TRUE(fleet.operatorNetwork().profile().subscriberPool.contains(
         started.value().address));
 }
 
 TEST(Testbed, PingOverUmtsAfterAddDestination) {
-    Testbed tb;
-    ASSERT_TRUE(tb.startUmts().ok());
-    ASSERT_TRUE(tb.addUmtsDestination(tb.inriaEthAddress().str() + "/32").ok());
+    Fleet fleet{makeUniformFleet(1)};
+    UmtsNodeSite& napoli = fleet.umtsSite(0);
+    WiredSite& inria = fleet.wiredSite(0);
+    ASSERT_TRUE(napoli.startUmts().ok());
+    ASSERT_TRUE(napoli.addUmtsDestination(inria.address().str() + "/32").ok());
     // ICMP from the slice context, marked and routed via ppp0.
     std::optional<net::PingReply> reply;
-    ASSERT_TRUE(tb.napoli().stack()
-                    .ping(tb.inriaEthAddress(), [&](net::PingReply r) { reply = r; },
-                          tb.umtsSlice().xid)
+    ASSERT_TRUE(napoli.node().stack()
+                    .ping(inria.address(), [&](net::PingReply r) { reply = r; },
+                          napoli.umtsSlice().xid)
                     .ok());
-    tb.sim().runUntil(tb.sim().now() + sim::seconds(5.0));
+    fleet.runFor(sim::seconds(5.0));
     ASSERT_TRUE(reply.has_value());
     // UMTS RTT is an order of magnitude above the wired path.
     EXPECT_GT(sim::toMillis(reply->rtt), 100.0);
@@ -88,39 +104,43 @@ TEST(Testbed, PingOverUmtsAfterAddDestination) {
 TEST(Testbed, OperatorFirewallBlocksInboundToUmtsAddress) {
     // The paper's §2.2 rationale for keeping control traffic on eth0:
     // the UMTS-side address is not reachable from outside.
-    Testbed tb;
-    const auto started = tb.startUmts();
+    Fleet fleet{makeUniformFleet(1)};
+    UmtsNodeSite& napoli = fleet.umtsSite(0);
+    WiredSite& inria = fleet.wiredSite(0);
+    const auto started = napoli.startUmts();
     ASSERT_TRUE(started.ok());
-    auto probe = tb.inria().openSliceUdp(tb.inriaSlice()).value();
+    auto probe = inria.node().openSliceUdp(inria.firstSlice()).value();
     ASSERT_TRUE(probe->sendTo(started.value().address, 22, util::Bytes{1}).ok());
-    tb.sim().runUntil(tb.sim().now() + sim::seconds(2.0));
-    EXPECT_GE(tb.operatorNetwork().firewallBlockedInbound(), 1u);
+    fleet.runFor(sim::seconds(2.0));
+    EXPECT_GE(fleet.operatorNetwork().firewallBlockedInbound(), 1u);
 }
 
 TEST(Testbed, StopMidTransferTearsDownCleanly) {
-    Testbed tb;
-    ASSERT_TRUE(tb.startUmts().ok());
-    ASSERT_TRUE(tb.addUmtsDestination(tb.inriaEthAddress().str() + "/32").ok());
-    auto tx = tb.napoli().openSliceUdp(tb.umtsSlice()).value();
+    Fleet fleet{makeUniformFleet(1)};
+    UmtsNodeSite& napoli = fleet.umtsSite(0);
+    WiredSite& inria = fleet.wiredSite(0);
+    ASSERT_TRUE(napoli.startUmts().ok());
+    ASSERT_TRUE(napoli.addUmtsDestination(inria.address().str() + "/32").ok());
+    auto tx = napoli.node().openSliceUdp(napoli.umtsSlice()).value();
     // A saturating burst that outlives the stop: the RLC queue is full
     // of in-flight chunks when the PDP context is torn down, and the
     // sender keeps writing into the (now unrouted) socket afterwards.
-    const sim::SimTime base = tb.sim().now();
+    const sim::SimTime base = fleet.now();
     for (int i = 0; i < 20 * 35; ++i)
-        tb.sim().scheduleAt(base + sim::millis(i * 28.0), [&tb, tx] {
-            (void)tx->sendTo(tb.inriaEthAddress(), 9001, util::Bytes(1052, 0));
+        fleet.sim().scheduleAt(base + sim::millis(i * 28.0), [&inria, tx] {
+            (void)tx->sendTo(inria.address(), 9001, util::Bytes(1052, 0));
         });
-    tb.sim().runUntil(base + sim::seconds(5.0));
-    const auto stopped = tb.stopUmts();
+    fleet.runUntil(base + sim::seconds(5.0));
+    const auto stopped = napoli.stopUmts();
     ASSERT_TRUE(stopped.ok()) << stopped.error().message;
-    EXPECT_EQ(tb.operatorNetwork().activeSessions(), 0u);
+    EXPECT_EQ(fleet.operatorNetwork().activeSessions(), 0u);
     // The stop returned the bearer's capacity to the cell pool.
-    EXPECT_DOUBLE_EQ(tb.operatorNetwork().cell().uplinkAllocatedBps(), 0.0);
+    EXPECT_DOUBLE_EQ(fleet.operatorNetwork().cell().uplinkAllocatedBps(), 0.0);
     // Drain the rest of the burst: no dangling bearer/ByteChannel
     // callbacks may fire into the torn-down session.
-    tb.sim().runUntil(base + sim::seconds(25.0));
+    fleet.runUntil(base + sim::seconds(25.0));
     // And the node can dial again afterwards.
-    const auto restarted = tb.startUmts();
+    const auto restarted = napoli.startUmts();
     ASSERT_TRUE(restarted.ok()) << restarted.error().message;
 }
 
@@ -128,28 +148,31 @@ TEST(Testbed, DestructionMidTransferIsClean) {
     // Destroying the whole testbed while chunks sit in the RLC queues
     // and PPP frames sit in the TTY pipes must not fire any callback
     // into freed objects (exercised under ASan via tools/sanitize.sh).
-    auto tb = std::make_unique<Testbed>();
-    ASSERT_TRUE(tb->startUmts().ok());
-    ASSERT_TRUE(tb->addUmtsDestination(tb->inriaEthAddress().str() + "/32").ok());
-    auto tx = tb->napoli().openSliceUdp(tb->umtsSlice()).value();
-    Testbed& ref = *tb;
-    const sim::SimTime base = ref.sim().now();
+    auto fleet = std::make_unique<Fleet>(makeUniformFleet(1));
+    UmtsNodeSite& napoli = fleet->umtsSite(0);
+    const net::Ipv4Address inriaAddress = fleet->wiredSite(0).address();
+    ASSERT_TRUE(napoli.startUmts().ok());
+    ASSERT_TRUE(napoli.addUmtsDestination(inriaAddress.str() + "/32").ok());
+    auto tx = napoli.node().openSliceUdp(napoli.umtsSlice()).value();
+    sim::Simulator& sim = fleet->sim();
+    const sim::SimTime base = sim.now();
     for (int i = 0; i < 10 * 35; ++i)
-        ref.sim().scheduleAt(base + sim::millis(i * 28.0), [&ref, tx] {
-            (void)tx->sendTo(ref.inriaEthAddress(), 9001, util::Bytes(1052, 0));
+        sim.scheduleAt(base + sim::millis(i * 28.0), [inriaAddress, tx] {
+            (void)tx->sendTo(inriaAddress, 9001, util::Bytes(1052, 0));
         });
     // Stop in the middle of the burst with the uplink saturated.
-    ref.sim().runUntil(base + sim::seconds(3.0));
-    EXPECT_GT(ref.operatorNetwork().activeSessions(), 0u);
-    tb.reset();
+    sim.runUntil(base + sim::seconds(3.0));
+    EXPECT_GT(fleet->operatorNetwork().activeSessions(), 0u);
+    fleet.reset();
 }
 
 TEST(Testbed, StopAndRestartCycleTwice) {
-    Testbed tb;
+    Fleet fleet{makeUniformFleet(1)};
+    UmtsNodeSite& napoli = fleet.umtsSite(0);
     for (int cycle = 0; cycle < 2; ++cycle) {
-        const auto started = tb.startUmts();
+        const auto started = napoli.startUmts();
         ASSERT_TRUE(started.ok()) << "cycle " << cycle << ": " << started.error().message;
-        const auto stopped = tb.stopUmts();
+        const auto stopped = napoli.stopUmts();
         ASSERT_TRUE(stopped.ok()) << "cycle " << cycle << ": " << stopped.error().message;
     }
 }

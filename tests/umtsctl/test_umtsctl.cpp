@@ -1,28 +1,35 @@
 #include <gtest/gtest.h>
 
 #include "obs/registry.hpp"
-#include "scenario/testbed.hpp"
+#include "scenario/fleet.hpp"
 #include "umtsctl/frontend.hpp"
 
 namespace onelab::umtsctl {
 namespace {
 
-using scenario::Testbed;
-using scenario::TestbedConfig;
+using scenario::FleetConfig;
 
 struct UmtsctlTest : ::testing::Test {
-    UmtsctlTest() : tb(TestbedConfig{}) {}
-    explicit UmtsctlTest(TestbedConfig config) : tb(std::move(config)) {}
+    /// The paper's testbed plus a second Napoli slice, unina_other,
+    /// that is NOT in the umts ACL.
+    static FleetConfig testbedConfig() {
+        FleetConfig config = scenario::makeUniformFleet(1);
+        config.umtsSites[0].extraSliceNames = {"unina_other"};
+        return config;
+    }
+
+    UmtsctlTest() : UmtsctlTest(testbedConfig()) {}
+    explicit UmtsctlTest(FleetConfig config) : fleet(std::move(config)) {}
 
     /// Synchronously invoke the umts vsys script from a slice.
     pl::VsysResult invoke(pl::Slice& slice, const std::vector<std::string>& args,
                           double waitSeconds = 30.0) {
         std::optional<util::Result<pl::VsysResult>> outcome;
-        tb.napoli().vsys().invoke(slice, "umts", args,
+        napoli.node().vsys().invoke(slice, "umts", args,
                                   [&](util::Result<pl::VsysResult> r) { outcome = std::move(r); });
-        const sim::SimTime deadline = tb.sim().now() + sim::seconds(waitSeconds);
-        while (!outcome && tb.sim().now() < deadline)
-            tb.sim().runUntil(tb.sim().now() + sim::millis(50));
+        const sim::SimTime deadline = fleet.now() + sim::seconds(waitSeconds);
+        while (!outcome && fleet.now() < deadline)
+            fleet.runFor(sim::millis(50));
         if (!outcome) return pl::VsysResult{-1, {"timeout"}};
         if (!outcome->ok()) return pl::VsysResult{-2, {outcome->error().message}};
         return outcome->value();
@@ -34,19 +41,22 @@ struct UmtsctlTest : ::testing::Test {
         return false;
     }
 
-    Testbed tb;
+    scenario::Fleet fleet;
+    scenario::UmtsNodeSite& napoli = fleet.umtsSite(0);
+    scenario::WiredSite& inria = fleet.wiredSite(0);
+    pl::Slice& other = *napoli.slice("unina_other");
 };
 
 TEST_F(UmtsctlTest, StartConnectsAndReportsAddress) {
-    const auto started = tb.startUmts();
+    const auto started = napoli.startUmts();
     ASSERT_TRUE(started.ok()) << started.error().message;
     EXPECT_TRUE(started.value().connected);
-    EXPECT_TRUE(tb.operatorNetwork().profile().subscriberPool.contains(
+    EXPECT_TRUE(fleet.operatorNetwork().profile().subscriberPool.contains(
         started.value().address));
     EXPECT_EQ(started.value().operatorName, "IT Mobile");
     EXPECT_GT(started.value().signalQuality, 0);
     // ppp0 exists on the node, with the negotiated address.
-    net::Interface* ppp = tb.napoli().stack().findInterface("ppp0");
+    net::Interface* ppp = napoli.node().stack().findInterface("ppp0");
     ASSERT_NE(ppp, nullptr);
     EXPECT_TRUE(ppp->isUp());
     EXPECT_EQ(ppp->address(), started.value().address);
@@ -54,32 +64,32 @@ TEST_F(UmtsctlTest, StartConnectsAndReportsAddress) {
 
 TEST_F(UmtsctlTest, StartFailureReleasesLock) {
     // No coverage: registration times out, the lock must come free.
-    tb.operatorNetwork().setCoverage(false);
-    const auto result = tb.startUmts(sim::seconds(60.0));
+    fleet.operatorNetwork().setCoverage(false);
+    const auto result = napoli.startUmts(sim::seconds(60.0));
     ASSERT_FALSE(result.ok());
-    EXPECT_FALSE(tb.backend().state().locked);
-    EXPECT_EQ(tb.napoli().stack().findInterface("ppp0"), nullptr);
+    EXPECT_FALSE(napoli.backend().state().locked);
+    EXPECT_EQ(napoli.node().stack().findInterface("ppp0"), nullptr);
     // Coverage returns: the same slice can start successfully.
-    tb.operatorNetwork().setCoverage(true);
-    EXPECT_TRUE(tb.startUmts().ok());
+    fleet.operatorNetwork().setCoverage(true);
+    EXPECT_TRUE(napoli.startUmts().ok());
 }
 
 TEST_F(UmtsctlTest, ConcurrentStartRaceSecondSliceLosesImmediately) {
     // The second slice's start must fail fast with EBUSY while the
     // first is still registering/dialing (check-and-lock semantics).
-    tb.napoli().vsys().allow("umts", tb.otherSlice().name);
+    napoli.node().vsys().allow("umts", other.name);
     std::optional<pl::VsysResult> first;
     std::optional<pl::VsysResult> second;
-    tb.napoli().vsys().invoke(tb.umtsSlice(), "umts", {"start"},
+    napoli.node().vsys().invoke(napoli.umtsSlice(), "umts", {"start"},
                               [&](util::Result<pl::VsysResult> r) { first = r.value(); });
-    tb.sim().runUntil(tb.sim().now() + sim::millis(500));  // mid-registration
-    tb.napoli().vsys().invoke(tb.otherSlice(), "umts", {"start"},
+    fleet.runFor(sim::millis(500));  // mid-registration
+    napoli.node().vsys().invoke(other, "umts", {"start"},
                               [&](util::Result<pl::VsysResult> r) { second = r.value(); });
     // The loser is answered immediately, the winner keeps dialing.
     ASSERT_TRUE(second.has_value());
     EXPECT_EQ(second->exitCode, exit_code::busy);
     EXPECT_FALSE(first.has_value());
-    tb.sim().runUntil(tb.sim().now() + sim::seconds(30.0));
+    fleet.runFor(sim::seconds(30.0));
     ASSERT_TRUE(first.has_value());
     EXPECT_EQ(first->exitCode, exit_code::ok);
 }
@@ -87,23 +97,24 @@ TEST_F(UmtsctlTest, ConcurrentStartRaceSecondSliceLosesImmediately) {
 TEST_F(UmtsctlTest, WrongPinConfigurationFailsCleanly) {
     // The site operator misconfigured the backend's PIN: comgt's
     // AT+CPIN attempt is rejected, start fails, nothing stays locked.
-    TestbedConfig config;
-    config.simPin = "1234";
-    config.backendPinOverride = "9999";
-    Testbed broken{config};
-    const auto result = broken.startUmts(sim::seconds(30.0));
+    FleetConfig config = scenario::makeUniformFleet(1);
+    config.umtsSites[0].simPin = "1234";
+    config.umtsSites[0].backendPinOverride = "9999";
+    scenario::Fleet broken{config};
+    scenario::UmtsNodeSite& site = broken.umtsSite(0);
+    const auto result = site.startUmts(sim::seconds(30.0));
     ASSERT_FALSE(result.ok());
     EXPECT_NE(result.error().message.find("registration"), std::string::npos);
-    EXPECT_FALSE(broken.backend().state().locked);
-    EXPECT_EQ(broken.napoli().stack().findInterface("ppp0"), nullptr);
+    EXPECT_FALSE(site.backend().state().locked);
+    EXPECT_EQ(site.node().stack().findInterface("ppp0"), nullptr);
     EXPECT_EQ(broken.operatorNetwork().activeSessions(), 0u);
 }
 
 TEST_F(UmtsctlTest, StartLoadsPppAndDriverModules) {
     pl::KernelModuleRegistry* modules =
-        tb.napoli().modules(tb.napoli().rootContext()).value();
+        napoli.node().modules(napoli.node().rootContext()).value();
     EXPECT_FALSE(modules->isLoaded("ppp_async"));
-    ASSERT_TRUE(tb.startUmts().ok());
+    ASSERT_TRUE(napoli.startUmts().ok());
     EXPECT_TRUE(modules->isLoaded("ppp_generic"));
     EXPECT_TRUE(modules->isLoaded("ppp_async"));
     EXPECT_TRUE(modules->isLoaded("ppp_deflate"));
@@ -114,22 +125,23 @@ TEST_F(UmtsctlTest, StartLoadsPppAndDriverModules) {
 TEST_F(UmtsctlTest, StartFailsWhenDriverCannotLoad) {
     // The vanilla nozomi refuses the PlanetLab kernel (§2.3); without
     // the OneLab patch the whole start aborts.
-    TestbedConfig config;
-    config.extraRequiredModules = {"nozomi"};
-    Testbed broken{config};
-    const auto result = broken.startUmts(sim::seconds(10.0));
+    FleetConfig config = scenario::makeUniformFleet(1);
+    config.umtsSites[0].extraRequiredModules = {"nozomi"};
+    scenario::Fleet broken{config};
+    scenario::UmtsNodeSite& site = broken.umtsSite(0);
+    const auto result = site.startUmts(sim::seconds(10.0));
     ASSERT_FALSE(result.ok());
     EXPECT_NE(result.error().message.find("modprobe"), std::string::npos);
-    EXPECT_FALSE(broken.backend().state().locked);
+    EXPECT_FALSE(site.backend().state().locked);
 }
 
 TEST_F(UmtsctlTest, StartInstallsExactRuleSet) {
-    ASSERT_TRUE(tb.startUmts().ok());
-    net::NetworkStack& stack = tb.napoli().stack();
+    ASSERT_TRUE(napoli.startUmts().ok());
+    net::NetworkStack& stack = napoli.node().stack();
     // One MARK rule in mangle/OUTPUT keyed on the slice xid.
     const auto mangle = stack.netfilter().listChain(net::ChainHook::mangle_output);
     ASSERT_EQ(mangle.size(), 1u);
-    EXPECT_EQ(mangle[0].second.match.sliceXid, tb.umtsSlice().xid);
+    EXPECT_EQ(mangle[0].second.match.sliceXid, napoli.umtsSlice().xid);
     EXPECT_EQ(mangle[0].second.target.kind, net::FilterTarget::Kind::mark);
     // One negated-slice DROP rule on ppp0 in filter/OUTPUT.
     const auto filter = stack.netfilter().listChain(net::ChainHook::filter_output);
@@ -147,77 +159,77 @@ TEST_F(UmtsctlTest, StartInstallsExactRuleSet) {
 }
 
 TEST_F(UmtsctlTest, SecondSliceStartIsLockedOut) {
-    ASSERT_TRUE(tb.startUmts().ok());
+    ASSERT_TRUE(napoli.startUmts().ok());
     // Allow the other slice in the ACL, then try to start: EBUSY.
-    tb.napoli().vsys().allow("umts", tb.otherSlice().name);
-    const auto result = invoke(tb.otherSlice(), {"start"});
+    napoli.node().vsys().allow("umts", other.name);
+    const auto result = invoke(other, {"start"});
     EXPECT_EQ(result.exitCode, exit_code::busy);
     EXPECT_TRUE(hasLine(result, "locked by slice"));
 }
 
 TEST_F(UmtsctlTest, StartWhileAlreadyStartedIsIdempotent) {
-    ASSERT_TRUE(tb.startUmts().ok());
-    const auto again = invoke(tb.umtsSlice(), {"start"});
+    ASSERT_TRUE(napoli.startUmts().ok());
+    const auto again = invoke(napoli.umtsSlice(), {"start"});
     EXPECT_EQ(again.exitCode, exit_code::ok);
     EXPECT_TRUE(hasLine(again, "already-connected"));
 }
 
 TEST_F(UmtsctlTest, SliceNotInAclIsRefusedByVsys) {
-    const auto result = invoke(tb.otherSlice(), {"start"});
+    const auto result = invoke(other, {"start"});
     EXPECT_EQ(result.exitCode, -2);  // vsys-level permission denial
 }
 
 TEST_F(UmtsctlTest, StatusReportsState) {
-    auto status = invoke(tb.umtsSlice(), {"status"});
+    auto status = invoke(napoli.umtsSlice(), {"status"});
     EXPECT_EQ(status.exitCode, exit_code::ok);
     EXPECT_TRUE(hasLine(status, "locked=0"));
-    ASSERT_TRUE(tb.startUmts().ok());
-    status = invoke(tb.umtsSlice(), {"status"});
+    ASSERT_TRUE(napoli.startUmts().ok());
+    status = invoke(napoli.umtsSlice(), {"status"});
     EXPECT_TRUE(hasLine(status, "locked=1"));
-    EXPECT_TRUE(hasLine(status, "owner=" + tb.umtsSlice().name));
+    EXPECT_TRUE(hasLine(status, "owner=" + napoli.umtsSlice().name));
     EXPECT_TRUE(hasLine(status, "connected=1"));
     EXPECT_TRUE(hasLine(status, "operator=IT Mobile"));
 }
 
 TEST_F(UmtsctlTest, AddAndDelDestination) {
-    ASSERT_TRUE(tb.startUmts().ok());
-    const auto added = invoke(tb.umtsSlice(), {"add", "destination", "138.96.250.20/32"});
+    ASSERT_TRUE(napoli.startUmts().ok());
+    const auto added = invoke(napoli.umtsSlice(), {"add", "destination", "138.96.250.20/32"});
     EXPECT_EQ(added.exitCode, exit_code::ok);
-    EXPECT_EQ(tb.napoli().stack().router().rules().size(), 3u);
+    EXPECT_EQ(napoli.node().stack().router().rules().size(), 3u);
 
     // Duplicates rejected.
-    const auto dup = invoke(tb.umtsSlice(), {"add", "destination", "138.96.250.20/32"});
+    const auto dup = invoke(napoli.umtsSlice(), {"add", "destination", "138.96.250.20/32"});
     EXPECT_EQ(dup.exitCode, exit_code::inval);
 
-    const auto status = invoke(tb.umtsSlice(), {"status"});
+    const auto status = invoke(napoli.umtsSlice(), {"status"});
     EXPECT_TRUE(hasLine(status, "destination=138.96.250.20/32"));
 
-    const auto deleted = invoke(tb.umtsSlice(), {"del", "destination", "138.96.250.20/32"});
+    const auto deleted = invoke(napoli.umtsSlice(), {"del", "destination", "138.96.250.20/32"});
     EXPECT_EQ(deleted.exitCode, exit_code::ok);
-    EXPECT_EQ(tb.napoli().stack().router().rules().size(), 2u);
+    EXPECT_EQ(napoli.node().stack().router().rules().size(), 2u);
 
-    const auto missing = invoke(tb.umtsSlice(), {"del", "destination", "138.96.250.20/32"});
+    const auto missing = invoke(napoli.umtsSlice(), {"del", "destination", "138.96.250.20/32"});
     EXPECT_EQ(missing.exitCode, exit_code::noent);
 }
 
 TEST_F(UmtsctlTest, DestinationRequiresOwnership) {
-    ASSERT_TRUE(tb.startUmts().ok());
-    tb.napoli().vsys().allow("umts", tb.otherSlice().name);
-    const auto result = invoke(tb.otherSlice(), {"add", "destination", "1.2.3.4/32"});
+    ASSERT_TRUE(napoli.startUmts().ok());
+    napoli.node().vsys().allow("umts", other.name);
+    const auto result = invoke(other, {"add", "destination", "1.2.3.4/32"});
     EXPECT_EQ(result.exitCode, exit_code::perm);
 }
 
 TEST_F(UmtsctlTest, BadDestinationRejected) {
-    ASSERT_TRUE(tb.startUmts().ok());
-    EXPECT_EQ(invoke(tb.umtsSlice(), {"add", "destination", "not-an-address"}).exitCode,
+    ASSERT_TRUE(napoli.startUmts().ok());
+    EXPECT_EQ(invoke(napoli.umtsSlice(), {"add", "destination", "not-an-address"}).exitCode,
               exit_code::inval);
-    EXPECT_EQ(invoke(tb.umtsSlice(), {"add", "destination", "10.0.0.0/99"}).exitCode,
+    EXPECT_EQ(invoke(napoli.umtsSlice(), {"add", "destination", "10.0.0.0/99"}).exitCode,
               exit_code::inval);
 }
 
 TEST_F(UmtsctlTest, StatsVerbDumpsLiveRegistry) {
-    ASSERT_TRUE(tb.startUmts().ok());
-    const auto stats = invoke(tb.umtsSlice(), {"stats"});
+    ASSERT_TRUE(napoli.startUmts().ok());
+    const auto stats = invoke(napoli.umtsSlice(), {"stats"});
     EXPECT_EQ(stats.exitCode, exit_code::ok);
     // Counters registered at construction across the layers show up,
     // tagged with their kind; the AT dialogue has run by now.
@@ -232,11 +244,11 @@ TEST_F(UmtsctlTest, StatsVerbDumpsLiveRegistry) {
 }
 
 TEST_F(UmtsctlTest, FrontendStatsRendersTable) {
-    ASSERT_TRUE(tb.startUmts().ok());
-    UmtsFrontend frontend{tb.napoli(), tb.umtsSlice()};
+    ASSERT_TRUE(napoli.startUmts().ok());
+    UmtsFrontend frontend{napoli.node(), napoli.umtsSlice()};
     std::optional<util::Result<std::string>> rendered;
     frontend.stats([&](util::Result<std::string> r) { rendered = std::move(r); });
-    tb.sim().runUntil(tb.sim().now() + sim::seconds(1.0));
+    fleet.runFor(sim::seconds(1.0));
     ASSERT_TRUE(rendered.has_value());
     ASSERT_TRUE(rendered->ok()) << rendered->error().message;
     const std::string& table = rendered->value();
@@ -249,12 +261,12 @@ TEST_F(UmtsctlTest, FrontendStatsRendersTable) {
 // --- stats ACL: per-session scoping at the FIFO trust boundary ---
 
 TEST_F(UmtsctlTest, ScopedStatsHidesOtherSessionsBearerFamilies) {
-    ASSERT_TRUE(tb.startUmts().ok());
+    ASSERT_TRUE(napoli.startUmts().ok());
     // A family belonging to some other session's IMSI (as would exist
     // after this node served a different subscriber, or on a shared
     // registry): the scoped dump must not leak it.
     obs::Registry::instance().counter("umts.bearer.999880000000099.upgrades").inc();
-    const auto stats = invoke(tb.umtsSlice(), {"stats"});
+    const auto stats = invoke(napoli.umtsSlice(), {"stats"});
     EXPECT_EQ(stats.exitCode, exit_code::ok);
     EXPECT_TRUE(hasLine(stats, "umts.bearer.222880000000001.upgrades=counter:"));
     EXPECT_FALSE(hasLine(stats, "umts.bearer.999880000000099"));
@@ -264,15 +276,15 @@ TEST_F(UmtsctlTest, ScopedStatsHidesOtherSessionsBearerFamilies) {
 }
 
 TEST_F(UmtsctlTest, HostileStatsAllIsScopedBackAndCounted) {
-    ASSERT_TRUE(tb.startUmts().ok());
+    ASSERT_TRUE(napoli.startUmts().ok());
     obs::Registry::instance().counter("umts.bearer.999880000000099.upgrades").inc();
-    tb.napoli().vsys().allow("umts", tb.otherSlice().name);
+    napoli.node().vsys().allow("umts", other.name);
     const std::uint64_t deniedBefore =
         obs::Registry::instance().counter("guard.umtsctl.stats_denied").value();
     // The frontend never sends "all" for a non-owner, but a hostile
     // slice speaking the raw FIFO protocol can. The backend scopes the
     // dump back to the node's own session and records the attempt.
-    const auto stats = invoke(tb.otherSlice(), {"stats", "all"});
+    const auto stats = invoke(other, {"stats", "all"});
     EXPECT_EQ(stats.exitCode, exit_code::ok);
     EXPECT_TRUE(hasLine(stats, "umts.bearer.222880000000001.upgrades=counter:"));
     EXPECT_FALSE(hasLine(stats, "umts.bearer.999880000000099"));
@@ -281,11 +293,11 @@ TEST_F(UmtsctlTest, HostileStatsAllIsScopedBackAndCounted) {
 }
 
 TEST_F(UmtsctlTest, OwningSliceStatsAllStillDumpsEverything) {
-    ASSERT_TRUE(tb.startUmts().ok());
+    ASSERT_TRUE(napoli.startUmts().ok());
     obs::Registry::instance().counter("umts.bearer.999880000000099.upgrades").inc();
     const std::uint64_t deniedBefore =
         obs::Registry::instance().counter("guard.umtsctl.stats_denied").value();
-    const auto stats = invoke(tb.umtsSlice(), {"stats", "all"});
+    const auto stats = invoke(napoli.umtsSlice(), {"stats", "all"});
     EXPECT_EQ(stats.exitCode, exit_code::ok);
     EXPECT_TRUE(hasLine(stats, "umts.bearer.999880000000099.upgrades=counter:"));
     EXPECT_EQ(obs::Registry::instance().counter("guard.umtsctl.stats_denied").value(),
@@ -293,43 +305,43 @@ TEST_F(UmtsctlTest, OwningSliceStatsAllStillDumpsEverything) {
 }
 
 TEST_F(UmtsctlTest, UnknownVerbRejected) {
-    EXPECT_EQ(invoke(tb.umtsSlice(), {"frobnicate"}).exitCode, exit_code::inval);
+    EXPECT_EQ(invoke(napoli.umtsSlice(), {"frobnicate"}).exitCode, exit_code::inval);
 }
 
 TEST_F(UmtsctlTest, StopRestoresStateExactly) {
-    ASSERT_TRUE(tb.startUmts().ok());
-    ASSERT_TRUE(tb.addUmtsDestination("138.96.250.20/32").ok());
-    ASSERT_TRUE(tb.stopUmts().ok());
+    ASSERT_TRUE(napoli.startUmts().ok());
+    ASSERT_TRUE(napoli.addUmtsDestination("138.96.250.20/32").ok());
+    ASSERT_TRUE(napoli.stopUmts().ok());
 
-    net::NetworkStack& stack = tb.napoli().stack();
+    net::NetworkStack& stack = napoli.node().stack();
     // Invariant 4 (DESIGN.md): no rule leaks after stop.
     EXPECT_EQ(stack.netfilter().ruleCount(), 0u);
     EXPECT_EQ(stack.router().rules().size(), 1u);  // only the main rule
     EXPECT_EQ(stack.router().findTable(100), nullptr);
     EXPECT_EQ(stack.findInterface("ppp0"), nullptr);
-    EXPECT_EQ(tb.operatorNetwork().activeSessions(), 0u);
+    EXPECT_EQ(fleet.operatorNetwork().activeSessions(), 0u);
     // And the modem is back in command mode.
-    EXPECT_FALSE(tb.card().inDataMode());
+    EXPECT_FALSE(napoli.card().inDataMode());
 }
 
 TEST_F(UmtsctlTest, StopByNonOwnerDenied) {
-    ASSERT_TRUE(tb.startUmts().ok());
-    tb.napoli().vsys().allow("umts", tb.otherSlice().name);
-    const auto result = invoke(tb.otherSlice(), {"stop"});
+    ASSERT_TRUE(napoli.startUmts().ok());
+    napoli.node().vsys().allow("umts", other.name);
+    const auto result = invoke(other, {"stop"});
     EXPECT_EQ(result.exitCode, exit_code::perm);
-    EXPECT_TRUE(tb.backend().state().connected);
+    EXPECT_TRUE(napoli.backend().state().connected);
 }
 
 TEST_F(UmtsctlTest, StopWhenNotStartedIsNoop) {
-    const auto result = invoke(tb.umtsSlice(), {"stop"});
+    const auto result = invoke(napoli.umtsSlice(), {"stop"});
     EXPECT_EQ(result.exitCode, exit_code::ok);
     EXPECT_TRUE(hasLine(result, "not-started"));
 }
 
 TEST_F(UmtsctlTest, RestartAfterStopWorks) {
-    ASSERT_TRUE(tb.startUmts().ok());
-    ASSERT_TRUE(tb.stopUmts().ok());
-    const auto second = tb.startUmts();
+    ASSERT_TRUE(napoli.startUmts().ok());
+    ASSERT_TRUE(napoli.stopUmts().ok());
+    const auto second = napoli.startUmts();
     ASSERT_TRUE(second.ok()) << second.error().message;
     EXPECT_TRUE(second.value().connected);
 }
@@ -337,21 +349,21 @@ TEST_F(UmtsctlTest, RestartAfterStopWorks) {
 // --- Isolation invariants (DESIGN.md §4), enforced end to end ---
 
 TEST_F(UmtsctlTest, OnlyOwnerSliceTrafficUsesUmts) {
-    ASSERT_TRUE(tb.startUmts().ok());
-    ASSERT_TRUE(tb.addUmtsDestination(tb.inriaEthAddress().str() + "/32").ok());
-    net::Interface* ppp = tb.napoli().stack().findInterface("ppp0");
+    ASSERT_TRUE(napoli.startUmts().ok());
+    ASSERT_TRUE(napoli.addUmtsDestination(inria.address().str() + "/32").ok());
+    net::Interface* ppp = napoli.node().stack().findInterface("ppp0");
     ASSERT_NE(ppp, nullptr);
 
     // Owner-slice packet to the registered destination: via ppp0.
-    auto ownerSocket = tb.napoli().openSliceUdp(tb.umtsSlice()).value();
-    ASSERT_TRUE(ownerSocket->sendTo(tb.inriaEthAddress(), 9001, util::Bytes{1}).ok());
+    auto ownerSocket = napoli.node().openSliceUdp(napoli.umtsSlice()).value();
+    ASSERT_TRUE(ownerSocket->sendTo(inria.address(), 9001, util::Bytes{1}).ok());
     EXPECT_EQ(ppp->counters().txPackets, 1u);
 
     // Invariant 2: other-slice packet to the same destination: eth0.
-    net::Interface* eth = tb.napoli().stack().findInterface("eth0");
+    net::Interface* eth = napoli.node().stack().findInterface("eth0");
     const std::uint64_t ethBefore = eth->counters().txPackets;
-    auto otherSocket = tb.napoli().openSliceUdp(tb.otherSlice()).value();
-    ASSERT_TRUE(otherSocket->sendTo(tb.inriaEthAddress(), 9001, util::Bytes{1}).ok());
+    auto otherSocket = napoli.node().openSliceUdp(other).value();
+    ASSERT_TRUE(otherSocket->sendTo(inria.address(), 9001, util::Bytes{1}).ok());
     EXPECT_EQ(ppp->counters().txPackets, 1u);
     EXPECT_EQ(eth->counters().txPackets, ethBefore + 1);
 }
@@ -360,31 +372,31 @@ TEST_F(UmtsctlTest, IntruderBindingToUmtsAddressIsDropped) {
     // Invariant 1: even binding to the UMTS address or addressing the
     // PPP peer does not get another slice onto ppp0 (§2.3's special
     // cases, handled by the DROP rule).
-    const auto started = tb.startUmts();
+    const auto started = napoli.startUmts();
     ASSERT_TRUE(started.ok());
-    ASSERT_TRUE(tb.addUmtsDestination(tb.inriaEthAddress().str() + "/32").ok());
-    net::Interface* ppp = tb.napoli().stack().findInterface("ppp0");
+    ASSERT_TRUE(napoli.addUmtsDestination(inria.address().str() + "/32").ok());
+    net::Interface* ppp = napoli.node().stack().findInterface("ppp0");
 
-    auto intruder = tb.napoli().openSliceUdp(tb.otherSlice()).value();
+    auto intruder = napoli.node().openSliceUdp(other).value();
     intruder->bindAddress(started.value().address);
-    (void)intruder->sendTo(tb.inriaEthAddress(), 9001, util::Bytes{1});
+    (void)intruder->sendTo(inria.address(), 9001, util::Bytes{1});
     EXPECT_EQ(ppp->counters().txPackets, 0u);
 
     // Packets aimed at the PPP peer (the GGSN end of the link).
-    auto intruder2 = tb.napoli().openSliceUdp(tb.otherSlice()).value();
-    (void)intruder2->sendTo(tb.operatorNetwork().profile().ggsnAddress, 22, util::Bytes{1});
+    auto intruder2 = napoli.node().openSliceUdp(other).value();
+    (void)intruder2->sendTo(fleet.operatorNetwork().profile().ggsnAddress, 22, util::Bytes{1});
     EXPECT_EQ(ppp->counters().txPackets, 0u);
     // The hostile traffic fell through to the default route instead.
-    EXPECT_GE(tb.napoli().stack().findInterface("eth0")->counters().txPackets, 2u);
+    EXPECT_GE(napoli.node().stack().findInterface("eth0")->counters().txPackets, 2u);
 }
 
 TEST_F(UmtsctlTest, OwnerUnmarkedDestinationsStayOnEth) {
     // Invariant 2: the default route is untouched; the owner's traffic
     // to unregistered destinations also stays on eth0.
-    ASSERT_TRUE(tb.startUmts().ok());
-    net::Interface* ppp = tb.napoli().stack().findInterface("ppp0");
-    net::Interface* eth = tb.napoli().stack().findInterface("eth0");
-    auto socket = tb.napoli().openSliceUdp(tb.umtsSlice()).value();
+    ASSERT_TRUE(napoli.startUmts().ok());
+    net::Interface* ppp = napoli.node().stack().findInterface("ppp0");
+    net::Interface* eth = napoli.node().stack().findInterface("eth0");
+    auto socket = napoli.node().openSliceUdp(napoli.umtsSlice()).value();
     ASSERT_TRUE(socket->sendTo(net::Ipv4Address{8, 8, 8, 8}, 53, util::Bytes{1}).ok());
     EXPECT_EQ(ppp->counters().txPackets, 0u);
     EXPECT_GE(eth->counters().txPackets, 1u);
@@ -393,10 +405,10 @@ TEST_F(UmtsctlTest, OwnerUnmarkedDestinationsStayOnEth) {
 TEST_F(UmtsctlTest, OwnerCanForceUmtsByBinding) {
     // §2.2: "or to explicitly bind to the UMTS interface". The
     // from-<addr> rule routes owner packets bound to ppp0's address.
-    const auto started = tb.startUmts();
+    const auto started = napoli.startUmts();
     ASSERT_TRUE(started.ok());
-    net::Interface* ppp = tb.napoli().stack().findInterface("ppp0");
-    auto socket = tb.napoli().openSliceUdp(tb.umtsSlice()).value();
+    net::Interface* ppp = napoli.node().stack().findInterface("ppp0");
+    auto socket = napoli.node().openSliceUdp(napoli.umtsSlice()).value();
     socket->bindAddress(started.value().address);
     ASSERT_TRUE(socket->sendTo(net::Ipv4Address{8, 8, 8, 8}, 53, util::Bytes{1}).ok());
     EXPECT_EQ(ppp->counters().txPackets, 1u);
@@ -404,14 +416,14 @@ TEST_F(UmtsctlTest, OwnerCanForceUmtsByBinding) {
 
 TEST_F(UmtsctlTest, StatusDuringDialShowsLockedNotConnected) {
     std::optional<pl::VsysResult> startResult;
-    tb.napoli().vsys().invoke(tb.umtsSlice(), "umts", {"start"},
+    napoli.node().vsys().invoke(napoli.umtsSlice(), "umts", {"start"},
                               [&](util::Result<pl::VsysResult> r) { startResult = r.value(); });
-    tb.sim().runUntil(tb.sim().now() + sim::millis(800));  // mid-registration
-    const auto status = invoke(tb.umtsSlice(), {"status"});
+    fleet.runFor(sim::millis(800));  // mid-registration
+    const auto status = invoke(napoli.umtsSlice(), {"status"});
     EXPECT_EQ(status.exitCode, exit_code::ok);
     EXPECT_TRUE(hasLine(status, "locked=1"));
     EXPECT_TRUE(hasLine(status, "connected=0"));
-    tb.sim().runUntil(tb.sim().now() + sim::seconds(30.0));
+    fleet.runFor(sim::seconds(30.0));
     ASSERT_TRUE(startResult.has_value());
     EXPECT_EQ(startResult->exitCode, exit_code::ok);
 }
@@ -421,40 +433,40 @@ TEST_F(UmtsctlTest, CoverageLossMidFlowCleansUpAndTrafficFallsBack) {
     // slice is actively sending. The backend must tear down its state;
     // subsequent slice traffic to the registered destination falls
     // back to the default (eth0) route instead of vanishing.
-    ASSERT_TRUE(tb.startUmts().ok());
-    ASSERT_TRUE(tb.addUmtsDestination(tb.inriaEthAddress().str() + "/32").ok());
-    auto socket = tb.napoli().openSliceUdp(tb.umtsSlice()).value();
-    ASSERT_TRUE(socket->sendTo(tb.inriaEthAddress(), 9001, util::Bytes{1}).ok());
+    ASSERT_TRUE(napoli.startUmts().ok());
+    ASSERT_TRUE(napoli.addUmtsDestination(inria.address().str() + "/32").ok());
+    auto socket = napoli.node().openSliceUdp(napoli.umtsSlice()).value();
+    ASSERT_TRUE(socket->sendTo(inria.address(), 9001, util::Bytes{1}).ok());
 
-    tb.operatorNetwork().detachUe("222880000000001");  // admin detach
-    tb.sim().runUntil(tb.sim().now() + sim::seconds(5.0));
-    EXPECT_FALSE(tb.backend().state().connected);
-    EXPECT_FALSE(tb.backend().state().locked);
-    EXPECT_EQ(tb.napoli().stack().findInterface("ppp0"), nullptr);
+    fleet.operatorNetwork().detachUe("222880000000001");  // admin detach
+    fleet.runFor(sim::seconds(5.0));
+    EXPECT_FALSE(napoli.backend().state().connected);
+    EXPECT_FALSE(napoli.backend().state().locked);
+    EXPECT_EQ(napoli.node().stack().findInterface("ppp0"), nullptr);
 
-    net::Interface* eth = tb.napoli().stack().findInterface("eth0");
+    net::Interface* eth = napoli.node().stack().findInterface("eth0");
     const std::uint64_t ethBefore = eth->counters().txPackets;
-    ASSERT_TRUE(socket->sendTo(tb.inriaEthAddress(), 9001, util::Bytes{2}).ok());
+    ASSERT_TRUE(socket->sendTo(inria.address(), 9001, util::Bytes{2}).ok());
     EXPECT_EQ(eth->counters().txPackets, ethBefore + 1);
 }
 
 TEST_F(UmtsctlTest, LinkLossCleansUpAndUnlocks) {
-    ASSERT_TRUE(tb.startUmts().ok());
+    ASSERT_TRUE(napoli.startUmts().ok());
     // The operator kills the PDP context under us.
-    tb.operatorNetwork().deactivatePdp(tb.operatorNetwork().sessionAt(0));
-    tb.sim().runUntil(tb.sim().now() + sim::seconds(10.0));
-    EXPECT_FALSE(tb.backend().state().locked);
-    EXPECT_FALSE(tb.backend().state().connected);
-    EXPECT_EQ(tb.napoli().stack().findInterface("ppp0"), nullptr);
-    EXPECT_EQ(tb.napoli().stack().netfilter().ruleCount(), 0u);
+    fleet.operatorNetwork().deactivatePdp(fleet.operatorNetwork().sessionAt(0));
+    fleet.runFor(sim::seconds(10.0));
+    EXPECT_FALSE(napoli.backend().state().locked);
+    EXPECT_FALSE(napoli.backend().state().connected);
+    EXPECT_EQ(napoli.node().stack().findInterface("ppp0"), nullptr);
+    EXPECT_EQ(napoli.node().stack().netfilter().ruleCount(), 0u);
     // A new start succeeds afterwards.
-    EXPECT_TRUE(tb.startUmts().ok());
+    EXPECT_TRUE(napoli.startUmts().ok());
 }
 
 struct SupervisedUmtsctlTest : UmtsctlTest {
-    static TestbedConfig supervisedConfig() {
-        TestbedConfig config;
-        config.supervise.enable = true;
+    static FleetConfig supervisedConfig() {
+        FleetConfig config = testbedConfig();
+        config.umtsSites[0].supervise.enable = true;
         return config;
     }
     SupervisedUmtsctlTest() : UmtsctlTest(supervisedConfig()) {}
@@ -463,19 +475,19 @@ struct SupervisedUmtsctlTest : UmtsctlTest {
 /// `umts status` surfaces the supervisor ladder so a slice can see
 /// what recovery is doing to its link (absent on unsupervised nodes).
 TEST_F(SupervisedUmtsctlTest, StatusReportsSuperviseLadderRows) {
-    ASSERT_TRUE(tb.startUmts().ok());
-    tb.sim().runUntil(tb.sim().now() + sim::seconds(2.0));
-    const auto status = invoke(tb.umtsSlice(), {"status"});
+    ASSERT_TRUE(napoli.startUmts().ok());
+    fleet.runFor(sim::seconds(2.0));
+    const auto status = invoke(napoli.umtsSlice(), {"status"});
     EXPECT_EQ(status.exitCode, exit_code::ok);
     EXPECT_TRUE(hasLine(status, "supervise_state=healthy"));
     EXPECT_TRUE(hasLine(status, "supervise_time_in_state_ms="));
 
     // The typed report carries the same rows through the public API.
     std::optional<util::Result<UmtsReport>> typed;
-    tb.umtsCommand().status([&](util::Result<UmtsReport> r) { typed = std::move(r); });
-    const sim::SimTime deadline = tb.sim().now() + sim::seconds(30.0);
-    while (!typed && tb.sim().now() < deadline)
-        tb.sim().runUntil(tb.sim().now() + sim::millis(50));
+    napoli.frontend().status([&](util::Result<UmtsReport> r) { typed = std::move(r); });
+    const sim::SimTime deadline = fleet.now() + sim::seconds(30.0);
+    while (!typed && fleet.now() < deadline)
+        fleet.runFor(sim::millis(50));
     ASSERT_TRUE(typed && typed->ok());
     EXPECT_EQ(typed->value().superviseState, "healthy");
     EXPECT_GE(typed->value().superviseTimeInStateMs, 0);
@@ -483,8 +495,8 @@ TEST_F(SupervisedUmtsctlTest, StatusReportsSuperviseLadderRows) {
 }
 
 TEST_F(UmtsctlTest, StatusOmitsSuperviseRowsWithoutASupervisor) {
-    ASSERT_TRUE(tb.startUmts().ok());
-    const auto status = invoke(tb.umtsSlice(), {"status"});
+    ASSERT_TRUE(napoli.startUmts().ok());
+    const auto status = invoke(napoli.umtsSlice(), {"status"});
     EXPECT_EQ(status.exitCode, exit_code::ok);
     EXPECT_FALSE(hasLine(status, "supervise_state="));
 }
