@@ -23,7 +23,6 @@ Pppd::Pppd(sim::Simulator& simulator, PppdConfig config)
       config_(std::move(config)),
       log_("pppd." + config_.name),
       rng_(config_.seed) {
-    sim_.attachPool(&framePool_);
     LcpConfig lcpConfig = config_.lcp;
     if (config_.isServer) lcpConfig.requireAuth = config_.requireAuth;
     lcp_ = std::make_unique<Lcp>(sim_, lcpConfig, rng_.derive("lcp"), config_.timers);
@@ -65,7 +64,6 @@ Pppd::Pppd(sim::Simulator& simulator, PppdConfig config)
 Pppd::~Pppd() {
     *alive_ = false;
     if (echoTimer_.valid()) sim_.cancel(echoTimer_);
-    sim_.detachPool(&framePool_);
 }
 
 void Pppd::attach(sim::ByteChannel& channel) {
@@ -146,10 +144,10 @@ void Pppd::sendFrame(Protocol protocol, util::ByteView info) {
     // Encode straight into a pooled buffer and hand the line a
     // refcounted slice: the same bytes ride every hop to the deframer.
     // The capacity recycles when the last hop lets go.
-    util::Bytes wire = framePool_.acquire(std::size_t{0});
+    util::Bytes wire = sim_.bufferPool().acquire(std::size_t{0});
     encodeFrameInto(protocol, info, framing, wire);
     counters_.bytesToLine += wire.size();
-    line_->write(framePool_.share(std::move(wire)));
+    line_->write(sim_.bufferPool().share(std::move(wire)));
 }
 
 void Pppd::onLcpUp() {

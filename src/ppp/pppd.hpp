@@ -9,7 +9,6 @@
 #include "ppp/framer.hpp"
 #include "ppp/ipcp.hpp"
 #include "ppp/lcp.hpp"
-#include "sim/buffer_pool.hpp"
 #include "sim/pipe.hpp"
 #include "util/rand.hpp"
 
@@ -147,13 +146,6 @@ class Pppd {
     void linkDown(const std::string& reason);
 
     sim::Simulator& sim_;
-    /// Private frame-buffer pool: sendFrame() encodes into these and
-    /// hands refcounted slices down the line. The freelist is per-pppd,
-    /// so its reuse/allocate split depends on this link's traffic only;
-    /// the exported sim.pool.* counters include that split. Declared
-    /// before the subsystems that might hold slices; outstanding slices
-    /// orphan safely regardless.
-    sim::BufferPool framePool_;
     PppdConfig config_;
     util::Logger log_;
     util::RandomStream rng_;

@@ -177,7 +177,6 @@ void Simulator::flushCounters() noexcept {
         pendingCancelled_ = 0;
     }
     pool_.syncCounters();
-    for (BufferPool* pool : attachedPools_) pool->syncCounters();
 }
 
 std::size_t Simulator::runUntil(SimTime until) {

@@ -91,18 +91,10 @@ class Simulator {
     [[nodiscard]] std::size_t pendingEvents() const noexcept { return heap_.size(); }
     [[nodiscard]] std::uint64_t executedEvents() const noexcept { return executed_; }
 
-    /// Buffer freelist shared by this simulator's datapath (pipe
-    /// writes, RLC chunks); single-threaded like the simulator itself.
+    /// Buffer freelist shared by this simulator's datapath (pppd
+    /// frames, pipe writes, RLC chunks); single-threaded like the
+    /// simulator itself.
     [[nodiscard]] BufferPool& bufferPool() noexcept { return pool_; }
-
-    /// Register a component-owned pool (e.g. a pppd's frame pool) so
-    /// its registry mirrors flush together with this simulator's own
-    /// pool at run-loop exit. The owner must detach before the pool is
-    /// destroyed.
-    void attachPool(BufferPool* pool) { attachedPools_.push_back(pool); }
-    void detachPool(BufferPool* pool) noexcept {
-        std::erase(attachedPools_, pool);
-    }
 
     /// Install this simulator as the log and recorder clock so log
     /// lines and obs::Tracer records carry simulated time.
@@ -154,7 +146,6 @@ class Simulator {
     // Declared before the slots so pooled buffers captured in pending
     // actions are destroyed while the pool is still alive.
     BufferPool pool_;
-    std::vector<BufferPool*> attachedPools_;  ///< component pools, counter flush only
     std::vector<Slot> slots_;
     std::vector<HeapEntry> heap_;           ///< min-heap by (when, sequence)
     std::vector<std::uint32_t> freeSlots_;  ///< recycled slot indices
