@@ -1,4 +1,4 @@
-// Microbenchmarks of the node data path. Two families:
+// Microbenchmarks of the node data path, in four families:
 //
 //  - Packet path: policy routing resolution, netfilter traversal, the
 //    operator firewall's new-flow cost at its table cap, and the full
@@ -15,6 +15,9 @@
 //  - Modem TTY scan: the AT engine's data-mode "+++" watch over 1500 B
 //    of frame bytes, escape-free and '+'-dense, against an in-file
 //    replica of the per-byte loop it replaced.
+//
+//  - Codecs: the FCS-16 bulk walk, LZSS (CCP) compression, MD5 (CHAP)
+//    and IP packet serialize/parse.
 //
 // Before any benchmark runs, main() executes a differential self-check
 // (fast vs reference round trips); a mismatch fails the binary, so the
@@ -35,13 +38,17 @@
 
 #include "modem/at_engine.hpp"
 #include "net/internet.hpp"
+#include "net/packet.hpp"
 #include "net/stack.hpp"
 #include "obs/registry.hpp"
+#include "ppp/compress.hpp"
 #include "ppp/fcs.hpp"
 #include "ppp/framer.hpp"
 #include "sim/pipe.hpp"
 #include "sim/simulator.hpp"
 #include "umts/network.hpp"
+#include "util/md5.hpp"
+#include "util/rand.hpp"
 #include "util/strings.hpp"
 
 namespace {
@@ -546,6 +553,64 @@ void BM_AtDataModeScanReference(benchmark::State& state) {
 
 BENCHMARK(BM_AtDataModeScan)->Args({1500, 0})->Args({1500, 1});
 BENCHMARK(BM_AtDataModeScanReference)->Args({1500, 0})->Args({1500, 1});
+
+// ---------------------------------------------------------------------------
+// Codecs on the dial-up link and the IP layer above it.
+// ---------------------------------------------------------------------------
+
+void BM_Fcs16(benchmark::State& state) {
+    util::Bytes data(std::size_t(state.range(0)));
+    for (std::size_t i = 0; i < data.size(); ++i) data[i] = std::uint8_t(i * 31);
+    for (auto _ : state) benchmark::DoNotOptimize(ppp::fcs16({data.data(), data.size()}));
+    state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Fcs16)->Arg(128)->Arg(1500);
+
+void BM_LzssCompressZeroPadded(benchmark::State& state) {
+    // The D-ITG payload shape: small header + zero padding.
+    util::Bytes data(1024, 0);
+    for (int i = 0; i < 17; ++i) data[std::size_t(i)] = std::uint8_t(i * 7);
+    for (auto _ : state) {
+        const util::Bytes compressed = ppp::LzssCodec::compress({data.data(), data.size()});
+        benchmark::DoNotOptimize(compressed.size());
+    }
+    state.SetBytesProcessed(state.iterations() * 1024);
+}
+BENCHMARK(BM_LzssCompressZeroPadded);
+
+void BM_LzssRoundTripRandom(benchmark::State& state) {
+    util::RandomStream rng{2};
+    util::Bytes data(1024);
+    for (auto& byte : data) byte = std::uint8_t(rng.uniformInt(0, 255));
+    for (auto _ : state) {
+        const util::Bytes compressed = ppp::LzssCodec::compress({data.data(), data.size()});
+        const auto plain = ppp::LzssCodec::decompress({compressed.data(), compressed.size()});
+        benchmark::DoNotOptimize(plain.ok());
+    }
+    state.SetBytesProcessed(state.iterations() * 1024);
+}
+BENCHMARK(BM_LzssRoundTripRandom);
+
+void BM_Md5(benchmark::State& state) {
+    util::Bytes data(std::size_t(state.range(0)), 0x5a);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(util::Md5::hash({data.data(), data.size()}));
+    state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Md5)->Arg(64)->Arg(4096);
+
+void BM_PacketSerializeParse(benchmark::State& state) {
+    const net::Packet pkt = net::makeUdpPacket(net::Ipv4Address{10, 0, 0, 1}, 5000,
+                                               net::Ipv4Address{10, 0, 0, 2}, 9001,
+                                               util::Bytes(std::size_t(state.range(0)), 0));
+    for (auto _ : state) {
+        const util::Bytes wire = pkt.serialize();
+        const auto parsed = net::Packet::parse({wire.data(), wire.size()});
+        benchmark::DoNotOptimize(parsed.ok());
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_PacketSerializeParse)->Arg(90)->Arg(1024);
 
 // ---------------------------------------------------------------------------
 // Differential self-check, run before any benchmark: the fast framer
