@@ -44,7 +44,7 @@ struct AdvOptions {
     std::uint64_t seed = 7;
     std::vector<std::size_t> attackerCounts{1};
     double waveSeconds = 12.0;  ///< per measurement wave
-    std::string exportDir = "/tmp/onelab_adversary";
+    std::string exportDir = "out/onelab_adversary";  // relative: concurrent trees never share it
     std::string csvPath;
     std::string jsonPath;
     bool checkDeterminism = true;

@@ -47,7 +47,7 @@ struct SoakOptions {
     double soakSeconds = 180.0;       // per seed, after bring-up
     std::vector<std::uint64_t> seeds{1, 2, 3};
     std::string faultsFile;           // scripted plan overrides seeding
-    std::string exportDir = "/tmp/onelab_chaos";
+    std::string exportDir = "out/onelab_chaos";  // relative: concurrent trees never share it
     bool checkDeterminism = true;
     std::size_t jobs = 1;             // seeds run on this many workers
     /// Supervised leg: the LinkSupervisor owns recovery (in place of

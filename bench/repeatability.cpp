@@ -99,15 +99,15 @@ void runFleetTelemetry(const std::string& directory) {
 /// and the two telemetry exports (which include the per-IMSI
 /// `umts.bearer.<imsi>.*` metric families) are compared byte for byte.
 bool fleetTelemetryIdentical(bench::SweepRunner& runner) {
-    const char* const dirs[] = {"/tmp/onelab_repeat_fleet_a", "/tmp/onelab_repeat_fleet_b"};
+    const char* const dirs[] = {"out/onelab_repeat_fleet_a", "out/onelab_repeat_fleet_b"};
     (void)runner.map<int>(2, [&](std::size_t index) {
         runFleetTelemetry(dirs[index]);
         return 0;
     });
-    const std::string metricsA = slurp("/tmp/onelab_repeat_fleet_a/metrics.json");
-    const std::string metricsB = slurp("/tmp/onelab_repeat_fleet_b/metrics.json");
-    const std::string traceA = slurp("/tmp/onelab_repeat_fleet_a/trace.json");
-    const std::string traceB = slurp("/tmp/onelab_repeat_fleet_b/trace.json");
+    const std::string metricsA = slurp("out/onelab_repeat_fleet_a/metrics.json");
+    const std::string metricsB = slurp("out/onelab_repeat_fleet_b/metrics.json");
+    const std::string traceA = slurp("out/onelab_repeat_fleet_a/trace.json");
+    const std::string traceB = slurp("out/onelab_repeat_fleet_b/trace.json");
     const bool perImsi =
         metricsA.find("umts.bearer.222880000000001.") != std::string::npos &&
         metricsA.find("umts.bearer.222880000000002.") != std::string::npos &&
@@ -151,15 +151,15 @@ void runFaultedFleetTelemetry(const std::string& directory) {
 /// chaos path (injections, recoveries, redials) is part of the
 /// deterministic surface, not an excuse to diverge.
 bool faultedTelemetryIdentical(bench::SweepRunner& runner) {
-    const char* const dirs[] = {"/tmp/onelab_repeat_fault_a", "/tmp/onelab_repeat_fault_b"};
+    const char* const dirs[] = {"out/onelab_repeat_fault_a", "out/onelab_repeat_fault_b"};
     (void)runner.map<int>(2, [&](std::size_t index) {
         runFaultedFleetTelemetry(dirs[index]);
         return 0;
     });
-    const std::string metricsA = slurp("/tmp/onelab_repeat_fault_a/metrics.json");
-    const std::string metricsB = slurp("/tmp/onelab_repeat_fault_b/metrics.json");
-    const std::string traceA = slurp("/tmp/onelab_repeat_fault_a/trace.json");
-    const std::string traceB = slurp("/tmp/onelab_repeat_fault_b/trace.json");
+    const std::string metricsA = slurp("out/onelab_repeat_fault_a/metrics.json");
+    const std::string metricsB = slurp("out/onelab_repeat_fault_b/metrics.json");
+    const std::string traceA = slurp("out/onelab_repeat_fault_a/trace.json");
+    const std::string traceB = slurp("out/onelab_repeat_fault_b/trace.json");
     const bool faulted = metricsA.find("\"fault.injected\"") != std::string::npos;
     std::printf("3-UE faulted fleet telemetry: metrics %s (%zu bytes), trace %s,\n"
                 "fault.* metric families %s\n",
