@@ -109,8 +109,7 @@ struct UmtsNodeSiteConfig {
 /// A UMTS-equipped PlanetLab site — the paper's full Napoli bundle:
 /// NodeOs with a wired eth0, the data card on its TTY, the `umts`
 /// backend with its vsys entry ACL'ed to the experiment slice, and a
-/// frontend bound to that slice. Construction composes exactly the
-/// pieces the monolithic testbed used to wire by hand.
+/// frontend bound to that slice.
 class UmtsNodeSite {
   public:
     UmtsNodeSite(sim::Simulator& simulator, net::Internet& internet,
