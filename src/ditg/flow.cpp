@@ -28,6 +28,29 @@ std::optional<ProbeHeader> ProbeHeader::decode(util::ByteView payload) {
     return header;
 }
 
+void ProbeStream::feed(util::ByteView data,
+                       const std::function<void(util::ByteView)>& onProbe) {
+    buffer_.insert(buffer_.end(), data.begin(), data.end());
+    std::size_t offset = 0;
+    while (buffer_.size() - offset >= 2) {
+        const std::size_t length =
+            (std::size_t(buffer_[offset]) << 8) | std::size_t(buffer_[offset + 1]);
+        if (buffer_.size() - offset - 2 < length) break;
+        onProbe(util::ByteView{buffer_.data() + offset + 2, length});
+        offset += 2 + length;
+    }
+    if (offset > 0) buffer_.erase(buffer_.begin(), buffer_.begin() + long(offset));
+}
+
+util::Bytes ProbeStream::frame(util::ByteView probe) {
+    util::Bytes framed;
+    framed.reserve(probe.size() + 2);
+    framed.push_back(std::uint8_t(probe.size() >> 8));
+    framed.push_back(std::uint8_t(probe.size() & 0xff));
+    framed.insert(framed.end(), probe.begin(), probe.end());
+    return framed;
+}
+
 double FlowSpec::nominalKbps() const {
     if (!idtSeconds || !payloadBytes) return 0.0;
     const double idt = idtSeconds->mean();

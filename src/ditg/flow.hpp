@@ -1,10 +1,10 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 
-#include "ditg/logs.hpp"
 #include "util/bytes.hpp"
 #include "util/rand.hpp"
 
@@ -26,20 +26,36 @@ struct ProbeHeader {
     static std::optional<ProbeHeader> decode(util::ByteView payload);
 };
 
+/// Length-prefixed probe framing for TCP flows: each probe rides the
+/// byte stream as u16 length (big-endian) + the padded probe payload.
+/// TCP hands back arbitrary chunks; the framer reassembles them into
+/// complete probes.
+class ProbeStream {
+  public:
+    /// Append stream bytes; invokes `onProbe` for every completed
+    /// probe payload (in stream order).
+    void feed(util::ByteView data, const std::function<void(util::ByteView)>& onProbe);
+
+    /// Frame one probe payload for transmission.
+    [[nodiscard]] static util::Bytes frame(util::ByteView probe);
+
+  private:
+    util::Bytes buffer_;
+};
+
 /// One traffic flow specification, mirroring D-ITG's command line: an
 /// inter-departure-time process, a packet-size process, and a
 /// duration. Both processes may be any of the supported stochastic
 /// models (constant, uniform, exponential, pareto, normal, cauchy,
-/// weibull, gamma).
+/// weibull, gamma). The transport (D-ITG's -T) is chosen by the
+/// ItgSend constructor, not by the spec.
 struct FlowSpec {
     std::string name;
     std::uint16_t flowId = 1;
-    FlowTransport transport = FlowTransport::udp;  ///< -T in D-ITG terms
     util::RandomVariablePtr idtSeconds;   ///< inter-departure time [s]
     util::RandomVariablePtr payloadBytes; ///< packet size [bytes, >= header]
     double durationSeconds = 120.0;
     double startOffsetSeconds = 0.0;
-    bool measureRtt = true;  ///< receiver echoes ACKs for RTT
 
     /// Nominal offered rate in kbps when both processes have means.
     [[nodiscard]] double nominalKbps() const;

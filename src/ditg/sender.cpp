@@ -2,36 +2,68 @@
 
 namespace onelab::ditg {
 
-/// Buckets for the microsecond latency histograms: 1 ms .. ~32 s.
-static constexpr obs::HistogramSpec kLatencyUsBuckets{1000.0, 2.0, 16};
-
 ItgSend::ItgSend(sim::Simulator& simulator, net::UdpSocket& socket, FlowSpec spec,
                  net::Ipv4Address destination, std::uint16_t destinationPort,
                  util::RandomStream rng)
     : sim_(simulator),
-      socket_(socket),
+      socket_(&socket),
+      spec_(std::move(spec)),
+      destination_(destination),
+      destinationPort_(destinationPort),
+      rng_(std::move(rng)) {}
+
+ItgSend::ItgSend(sim::Simulator& simulator, net::TcpHost& host, FlowSpec spec,
+                 net::Ipv4Address destination, std::uint16_t destinationPort,
+                 util::RandomStream rng, int sliceXid, const net::TcpOptions& options)
+    : sim_(simulator),
+      host_(&host),
       spec_(std::move(spec)),
       destination_(destination),
       destinationPort_(destinationPort),
       rng_(std::move(rng)),
-      sentMetric_(obs::Registry::instance().counter("ditg.flow.packets_sent")),
-      sendErrorsMetric_(obs::Registry::instance().counter("ditg.flow.send_errors")),
-      rttMetric_(obs::Registry::instance().histogram("ditg.flow.rtt_us", kLatencyUsBuckets)) {}
+      sliceXid_(sliceXid),
+      options_(options) {
+    log_.transport = FlowTransport::tcp;
+}
+
+ItgSend::~ItgSend() {
+    *alive_ = false;
+    sim_.cancel(pending_);
+}
 
 void ItgSend::start(std::function<void()> onComplete) {
     onComplete_ = std::move(onComplete);
-    socket_.onReceive([this](net::Datagram dgram) {
-        const auto header = ProbeHeader::decode({dgram.payload.data(), dgram.payload.size()});
-        if (!header || !header->isAck || header->flowId != spec_.flowId) return;
-        const sim::SimTime txTime{header->txTimeNs};
-        const sim::SimTime rtt = dgram.rxTime - txTime;
-        rttMetric_.observe(double(rtt.count()) / 1e3);
-        log_.rtts.push_back(RttRecord{header->sequence, txTime, rtt});
-    });
-    sim_.schedule(sim::seconds(spec_.startOffsetSeconds), [this] {
+    if (socket_) {
+        socket_->onReceive([this, alive = alive_](net::Datagram dgram) {
+            if (*alive) onAck({dgram.payload.data(), dgram.payload.size()}, dgram.rxTime);
+        });
+        scheduleStart();
+        return;
+    }
+    conn_ = host_->connect(destination_, destinationPort_, sliceXid_, {}, options_);
+    conn_->onData = [this, alive = alive_](util::ByteView data) {
+        if (!*alive) return;
+        ackStream_.feed(data, [this](util::ByteView probe) { onAck(probe, sim_.now()); });
+    };
+    conn_->onConnected = [this, alive = alive_] {
+        if (*alive) scheduleStart();
+    };
+}
+
+void ItgSend::scheduleStart() {
+    pending_ = sim_.schedule(sim::seconds(spec_.startOffsetSeconds), [this] {
         endTime_ = sim_.now() + sim::seconds(spec_.durationSeconds);
         emitPacket();
     });
+}
+
+void ItgSend::onAck(util::ByteView probe, sim::SimTime rxTime) {
+    const auto header = ProbeHeader::decode(probe);
+    if (!header || !header->isAck || header->flowId != spec_.flowId) return;
+    const sim::SimTime txTime{header->txTimeNs};
+    const sim::SimTime rtt = rxTime - txTime;
+    rttMetric_.observe(double(rtt.count()) / 1e3);
+    log_.rtts.push_back(RttRecord{header->sequence, txTime, rtt});
 }
 
 void ItgSend::scheduleNext() {
@@ -41,10 +73,13 @@ void ItgSend::scheduleNext() {
         finished_ = true;
         logger_.info() << "flow '" << spec_.name << "' done: " << sent_ << " packets, "
                        << sendErrors_ << " send errors";
+        // Orderly TCP close: the FIN trails the queued probes; ACK
+        // probes still drain on the read side afterwards.
+        if (conn_) conn_->close();
         if (onComplete_) onComplete_();
         return;
     }
-    sim_.scheduleAt(next, [this] { emitPacket(); });
+    pending_ = sim_.scheduleAt(next, [this] { emitPacket(); });
 }
 
 void ItgSend::emitPacket() {
@@ -63,8 +98,13 @@ void ItgSend::emitPacket() {
     record.payloadBytes = payloadSize;
     record.txTime = sim_.now();
 
-    const auto sent = socket_.sendTo(destination_, destinationPort_,
-                                     header.encode(payloadSize));
+    util::Bytes probe = header.encode(payloadSize);
+    // Over TCP, one send() per framed probe: TCP may still split or
+    // coalesce the bytes on the wire — the receiver's ProbeStream
+    // handles that — but queueing prefix+payload atomically means the
+    // log counts each probe exactly once.
+    const auto sent = socket_ ? socket_->sendTo(destination_, destinationPort_, std::move(probe))
+                              : conn_->send(ProbeStream::frame(probe));
     if (sent.ok()) {
         ++sent_;
         sentMetric_.inc();

@@ -8,7 +8,7 @@ namespace onelab::net {
 namespace {
 
 /// Aggregate net.queue.* metrics, shared by every TxQueue in the
-/// current registry (Ethernet egress, RLC buffers, internet core).
+/// current registry (net::Internet's per-attachment egress queues).
 /// The cache is thread-local and keyed by the registry's process-wide
 /// unique id: when a RunContext swaps the thread's registry the stale
 /// references are rebound instead of dangling into the old one.

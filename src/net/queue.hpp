@@ -15,9 +15,9 @@ namespace onelab::net {
 
 /// Rate-limited drop-tail transmit queue. Items are opaque byte
 /// counts paired with a completion action; when an item finishes
-/// serialising at the configured rate the action fires. Used both for
-/// Ethernet egress and for the UMTS RLC buffer (whose rate changes at
-/// runtime as bearers are re-allocated).
+/// serialising at the configured rate the action fires. net::Internet
+/// builds one per attachment for its egress (the UMTS RLC buffer is
+/// umts::BearerLink).
 class TxQueue {
   public:
     TxQueue(sim::Simulator& simulator, double rateBitsPerSecond, std::size_t byteLimit)
@@ -30,11 +30,6 @@ class TxQueue {
     /// Enqueue an item; returns false (and counts a drop) when the
     /// byte limit would be exceeded.
     bool enqueue(std::size_t bytes, std::function<void()> onSerialized);
-
-    /// Change the serialisation rate. Applies from the next item; the
-    /// item currently on the "air" completes at the old rate.
-    void setRate(double rateBitsPerSecond) noexcept { rateBps_ = rateBitsPerSecond; }
-    [[nodiscard]] double rate() const noexcept { return rateBps_; }
 
     [[nodiscard]] std::size_t backlogBytes() const noexcept { return backlogBytes_; }
     [[nodiscard]] std::size_t backlogPackets() const noexcept { return queue_.size(); }
@@ -58,7 +53,7 @@ class TxQueue {
     /// Guards scheduled completions against the queue being destroyed
     /// with items still "on the air".
     std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
-    double rateBps_;
+    const double rateBps_;
     std::size_t byteLimit_;
     std::deque<Item> queue_;
     std::size_t backlogBytes_ = 0;

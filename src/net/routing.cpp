@@ -66,7 +66,10 @@ std::string PolicyRule::describe() const {
 PolicyRouter::PolicyRouter() {
     tables_.emplace(kMainTable, RoutingTable{});
     // Default catch-all rule, like Linux's `32766: from all lookup main`.
-    rules_.push_back(PolicyRule{.priority = 32766, .tableId = kMainTable});
+    PolicyRule catchAll;
+    catchAll.priority = 32766;
+    catchAll.tableId = kMainTable;
+    rules_.push_back(catchAll);
 }
 
 RoutingTable& PolicyRouter::table(int tableId) { return tables_[tableId]; }

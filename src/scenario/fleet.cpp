@@ -2,7 +2,6 @@
 
 #include "ditg/receiver.hpp"
 #include "ditg/sender.hpp"
-#include "ditg/tcp_flow.hpp"
 #include "obs/profiler.hpp"
 #include "obs/registry.hpp"
 #include "obs/telemetry.hpp"
@@ -274,14 +273,14 @@ std::vector<FleetTcpRun> Fleet::runTcpOnSites(const std::vector<std::size_t>& in
     options.congestion = congestion;
 
     // The receiver listens on the wired site's TcpHost.
-    auto receiver = std::make_unique<ditg::ItgTcpRecv>(
+    auto receiver = std::make_unique<ditg::ItgRecv>(
         sim_, receiverSite.node().tcp(), kTcpProbePort,
         /*sendAcks=*/true, receiverSite.firstSlice().xid, options);
 
     struct ActiveFlow {
         std::size_t siteIndex;
         std::uint16_t flowId;
-        std::unique_ptr<ditg::ItgTcpSend> sender;
+        std::unique_ptr<ditg::ItgSend> sender;
     };
     std::vector<ActiveFlow> flows;
     flows.reserve(indices.size());
@@ -293,9 +292,8 @@ std::vector<FleetTcpRun> Fleet::runTcpOnSites(const std::vector<std::size_t>& in
         // rather than pure bufferbloat.
         ditg::FlowSpec spec =
             ditg::cbrFlow(flowId, 50.0, 256, durationSeconds, "tcp-probe");
-        spec.transport = ditg::FlowTransport::tcp;
         util::RandomStream flowRng = rng_.derive("tcpflow@" + site.imsi());
-        auto sender = std::make_unique<ditg::ItgTcpSend>(
+        auto sender = std::make_unique<ditg::ItgSend>(
             sim_, site.node().tcp(), std::move(spec),
             receiverSite.address(), kTcpProbePort, std::move(flowRng),
             site.umtsSlice().xid, options);
@@ -315,7 +313,7 @@ std::vector<FleetTcpRun> Fleet::runTcpOnSites(const std::vector<std::size_t>& in
         run.imsi = site.imsi();
         run.summary =
             ditg::ItgDec::summarize(flow.sender->log(), receiver->log(flow.flowId));
-        run.probesSent = flow.sender->probesSent();
+        run.probesSent = flow.sender->packetsSent();
         run.probesReceived = run.summary.received;
         if (net::TcpConnection* conn = flow.sender->connection()) run.tcp = conn->stats();
         runs.push_back(std::move(run));

@@ -180,6 +180,16 @@ void Simulator::flushCounters() noexcept {
 }
 
 std::size_t Simulator::runUntil(SimTime until) {
+    const std::size_t ran = dispatch(until);
+    // Advance the clock to the horizon even if the queue drained early,
+    // so successive runUntil calls observe monotonic time.
+    now_ = std::max(now_, until);
+    return ran;
+}
+
+std::size_t Simulator::run() { return dispatch(SimTime::max()); }
+
+std::size_t Simulator::dispatch(SimTime until) {
     const bool outermost = !running_;
     running_ = true;
     std::size_t ran = 0;
@@ -206,46 +216,6 @@ std::size_t Simulator::runUntil(SimTime until) {
             }
         } else {
             while (!heap_.empty() && heap_.front().when <= until) {
-                fireTop();
-                ++ran;
-            }
-        }
-    } catch (...) {
-        if (outermost) {
-            running_ = false;
-            flushCounters();
-        }
-        throw;
-    }
-    if (outermost) {
-        running_ = false;
-        flushCounters();
-    }
-    // Advance the clock to the horizon even if the queue drained early,
-    // so successive runUntil calls observe monotonic time.
-    now_ = std::max(now_, until);
-    return ran;
-}
-
-std::size_t Simulator::run() {
-    const bool outermost = !running_;
-    running_ = true;
-    std::size_t ran = 0;
-    obs::ProfileScope runScope(obs::ProfileCategory::sim_run);
-    obs::Profiler* const profiler = obs::Profiler::currentIfEnabled();
-    try {
-        if (profiler) {
-            while (!heap_.empty()) {
-                obs::ProfileScope eventScope(obs::ProfileCategory::sim_event);
-                std::size_t inBatch = 0;
-                while (inBatch < kProfileEventBatch && !heap_.empty()) {
-                    fireTop();
-                    ++ran;
-                    ++inBatch;
-                }
-            }
-        } else {
-            while (!heap_.empty()) {
                 fireTop();
                 ++ran;
             }

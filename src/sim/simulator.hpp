@@ -142,6 +142,9 @@ class Simulator {
     void releaseSlot(std::uint32_t slot);
     /// Pop the earliest event, advance the clock and run it.
     void fireTop();
+    /// The one run loop: fire events in order while the earliest is
+    /// due at or before `until`. Leaves the clock at the last event.
+    std::size_t dispatch(SimTime until);
 
     // Declared before the slots so pooled buffers captured in pending
     // actions are destroyed while the pool is still alive.

@@ -37,6 +37,34 @@ TEST(ProbeHeader, RejectsBadMagicAndShortBuffers) {
     EXPECT_FALSE(ProbeHeader::decode({tiny.data(), tiny.size()}).has_value());
 }
 
+TEST(ProbeStreamTest, ReassemblesProbesAcrossArbitraryChunking) {
+    // Three framed probes concatenated, then fed one byte at a time —
+    // the worst chunking TCP can legally produce.
+    util::Bytes wire;
+    std::vector<util::Bytes> probes;
+    for (std::uint32_t i = 0; i < 3; ++i) {
+        ProbeHeader header;
+        header.flowId = 9;
+        header.sequence = i;
+        header.txTimeNs = 1000 * i;
+        util::Bytes framed = ProbeStream::frame(header.encode(ProbeHeader::kSize + i));
+        wire.insert(wire.end(), framed.begin(), framed.end());
+    }
+    ProbeStream stream;
+    std::vector<std::uint32_t> sequences;
+    std::vector<std::size_t> sizes;
+    for (const std::uint8_t byte : wire)
+        stream.feed({&byte, 1}, [&](util::ByteView probe) {
+            const auto header = ProbeHeader::decode(probe);
+            ASSERT_TRUE(header.has_value());
+            sequences.push_back(header->sequence);
+            sizes.push_back(probe.size());
+        });
+    EXPECT_EQ(sequences, (std::vector<std::uint32_t>{0, 1, 2}));
+    EXPECT_EQ(sizes, (std::vector<std::size_t>{ProbeHeader::kSize, ProbeHeader::kSize + 1,
+                                               ProbeHeader::kSize + 2}));
+}
+
 TEST(FlowSpec, VoipG711Is72Kbps) {
     const FlowSpec spec = voipG711Flow();
     EXPECT_NEAR(spec.nominalKbps(), 72.0, 0.01);

@@ -51,20 +51,6 @@ TEST(TxQueue, BacklogDrainsAsItemsComplete) {
     EXPECT_TRUE(queue.enqueue(1000, nullptr));
 }
 
-TEST(TxQueue, RateChangeAppliesToSubsequentItems) {
-    sim::Simulator sim;
-    TxQueue queue{sim, 8000.0, 1 << 20};
-    std::vector<double> completions;
-    queue.enqueue(1000, [&] { completions.push_back(sim::toSeconds(sim.now())); });
-    queue.enqueue(1000, [&] { completions.push_back(sim::toSeconds(sim.now())); });
-    // Double the rate while the first item is in flight.
-    queue.setRate(16000.0);
-    sim.run();
-    ASSERT_EQ(completions.size(), 2u);
-    EXPECT_NEAR(completions[0], 1.0, 1e-9);   // old rate
-    EXPECT_NEAR(completions[1], 1.5, 1e-9);   // new rate
-}
-
 TEST(TxQueue, ClearDropsPendingWithoutRunningActions) {
     sim::Simulator sim;
     TxQueue queue{sim, 8000.0, 1 << 20};

@@ -11,6 +11,14 @@ Packet packetTo(Ipv4Address dst, std::uint32_t fwmark = 0, Ipv4Address src = {})
     return pkt;
 }
 
+/// `from all lookup <tableId>` at `priority`: matches every packet.
+PolicyRule ruleForAll(int priority, int tableId) {
+    PolicyRule rule;
+    rule.priority = priority;
+    rule.tableId = tableId;
+    return rule;
+}
+
 TEST(RoutingTable, LongestPrefixWins) {
     RoutingTable table;
     table.addRoute({Prefix::any(), "eth0", std::nullopt, 0});
@@ -118,8 +126,8 @@ TEST(PolicyRouter, RulePriorityOrder) {
     PolicyRouter router;
     router.table(10).addRoute({Prefix::any(), "low", std::nullopt, 0});
     router.table(20).addRoute({Prefix::any(), "high", std::nullopt, 0});
-    router.addRule(PolicyRule{.priority = 200, .tableId = 10});
-    router.addRule(PolicyRule{.priority = 100, .tableId = 20});
+    router.addRule(ruleForAll(200, 10));
+    router.addRule(ruleForAll(100, 20));
     EXPECT_EQ(router.resolve(packetTo(Ipv4Address{1, 1, 1, 1})).value().oifName, "high");
 }
 
@@ -129,7 +137,7 @@ TEST(PolicyRouter, ContinuesPastEmptyTable) {
     PolicyRouter router;
     router.table(PolicyRouter::kMainTable)
         .addRoute({Prefix::any(), "eth0", std::nullopt, 0});
-    router.addRule(PolicyRule{.priority = 1, .tableId = 100});  // table 100 is empty
+    router.addRule(ruleForAll(1, 100));  // table 100 is empty
     EXPECT_EQ(router.resolve(packetTo(Ipv4Address{1, 1, 1, 1})).value().oifName, "eth0");
 }
 

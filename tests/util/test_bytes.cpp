@@ -69,11 +69,9 @@ TEST(Bytes, InternetChecksumRfc1071Example) {
 TEST(Bytes, InternetChecksumOddLength) {
     const Bytes data{0x01, 0x02, 0x03};
     const std::uint16_t sum = internetChecksum({data.data(), data.size()});
-    Bytes withSum = data;
     // Odd data is padded with zero for the sum; verification must pad
-    // the same way, so append pad + sum.
-    withSum.push_back(0x00);
-    putU16(withSum, sum);
+    // the same way, so the data is followed by pad + sum.
+    const Bytes withSum{0x01, 0x02, 0x03, 0x00, std::uint8_t(sum >> 8), std::uint8_t(sum)};
     EXPECT_EQ(internetChecksum({withSum.data(), withSum.size()}), 0);
 }
 

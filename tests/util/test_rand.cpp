@@ -102,8 +102,9 @@ TEST_P(DistributionMean, SampleMeanConvergesToSpecMean) {
     for (int i = 0; i < kSamples; ++i) sum += variable.value()->sample(rng);
     const double mean = sum / kSamples;
     EXPECT_NEAR(mean, expectedMean, std::abs(expectedMean) * 0.05 + 0.01) << spec;
-    if (!std::isnan(variable.value()->mean()))
+    if (!std::isnan(variable.value()->mean())) {
         EXPECT_NEAR(variable.value()->mean(), expectedMean, std::abs(expectedMean) * 1e-4);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -51,7 +51,10 @@ TEST(AsciiPlot, SingleSeriesHasGlyphAndLegend) {
 TEST(AsciiPlot, TwoSeriesOverlay) {
     PlotSeries a{"umts", 'u', {{0, 1}, {1, 2}}};
     PlotSeries b{"eth", 'e', {{0, 3}, {1, 4}}};
-    const std::string text = renderPlot({a, b}, PlotOptions{.width = 40, .height = 10});
+    PlotOptions options;
+    options.width = 40;
+    options.height = 10;
+    const std::string text = renderPlot({a, b}, options);
     EXPECT_NE(text.find('u'), std::string::npos);
     EXPECT_NE(text.find('e'), std::string::npos);
 }
