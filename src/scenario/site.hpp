@@ -82,18 +82,21 @@ struct UmtsNodeSiteConfig {
     /// single-node testbed stream.
     std::string dialerSeedTag = "dialer";
     EthernetParams ethernet;
-    /// Backend auto-redial policy after unexpected link loss. Off by
-    /// default (historic behaviour); chaos runs turn it on so drops
-    /// recover instead of staying down.
+    /// Backend auto-redial after an unexpected link loss: park the
+    /// slice's destination rules, redial with jittered backoff, fail
+    /// the rules back on success. Off by default (historic behaviour:
+    /// the lock is released and the link stays down); chaos runs turn
+    /// it on so drops recover instead of staying down.
     umtsctl::UmtsBackendConfig::AutoRedial autoRedial;
     /// Per-slice admission control on the umts vsys FIFO (rate +
     /// queue-depth guard at the trust boundary). The defaults are
     /// lenient; set `fifoGuard.enabled = false` to reproduce the
     /// unguarded historic backend.
     guard::SliceFifoGuardConfig fifoGuard;
-    /// Per-site link supervision (subsumes autoRedial when enabled:
-    /// the supervisor owns recovery and the backend's own auto-redial
-    /// is ignored). Turns on the dialer's adaptive LCP keepalive.
+    /// Per-site link supervision. It drives the same backend recovery
+    /// surface as autoRedial (parked rules, redial(), failbackRoutes())
+    /// and wins over it when both are enabled. Turns on the dialer's
+    /// adaptive LCP keepalive.
     struct Supervise {
         bool enable = false;
         /// Dialer keepalive (pppd lcp-echo-interval / lcp-echo-failure).

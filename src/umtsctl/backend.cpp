@@ -23,6 +23,13 @@ void UmtsBackend::reply(pl::Vsys::Completion& done, int code, std::vector<std::s
     if (done) done(pl::VsysResult{code, std::move(lines)});
 }
 
+util::Result<std::string> UmtsBackend::destinationRule(const char* verb,
+                                                       const std::string& destination) {
+    return shell().exec(util::format("ip rule %s prio %d fwmark 0x%x to %s lookup %d", verb,
+                                     config_.destinationRulePriority, mark(),
+                                     destination.c_str(), config_.routingTable));
+}
+
 void UmtsBackend::installVsys() {
     node_.vsys().install(
         "umts", [this](const pl::Slice& caller, const std::vector<std::string>& args,
@@ -215,10 +222,7 @@ void UmtsBackend::teardownDataPlane() {
     const std::string markText = util::format("0x%x", mark());
     auto run = [&](const std::string& cmd) { (void)sh.exec(cmd); };
 
-    for (const std::string& destination : destinations_)
-        run(util::format("ip rule del prio %d fwmark %s to %s lookup %d",
-                         config_.destinationRulePriority, markText.c_str(),
-                         destination.c_str(), config_.routingTable));
+    for (const std::string& destination : destinations_) (void)destinationRule("del", destination);
     destinations_.clear();
     if (state_.connected) {
         run(util::format("ip rule del prio %d fwmark %s from %s/32 lookup %d",
@@ -242,7 +246,11 @@ void UmtsBackend::onLinkLost(const std::string& reason) {
     if (!state_.connected) return;
     log_.warn() << "connection lost: " << reason;
     obs::Registry::instance().counter("fault.umtsctl.link_losses").inc();
-    const std::set<std::string> stashed = destinations_;
+    // A recovery driver keeps the slice's lock and parks its
+    // destination rules: its flows resolve via the wired main table
+    // until failbackRoutes().
+    const bool recovering = onConnectionLost || config_.autoRedial.enable;
+    if (recovering) failoverRoutes();
     teardownDataPlane();
     if (dropDtr) dropDtr();
     // This callback can arrive from deep inside the dialer's own pppd
@@ -251,30 +259,16 @@ void UmtsBackend::onLinkLost(const std::string& reason) {
     sim_.schedule(sim::millis(1), [dead = std::shared_ptr<tools::WvDial>(std::move(wvdial_))] {
     });
     state_.lastError = reason;
-    if (onConnectionLost) {
-        // Supervised mode: keep the lock, park the slice's destination
-        // rules (its flows now resolve via the wired main table) and
-        // hand recovery to the supervisor.
-        parkedDestinations_.insert(stashed.begin(), stashed.end());
-        routesParked_ = true;
-        onConnectionLost(reason);
-        return;
-    }
-    if (!config_.autoRedial.enable) {
+    if (!recovering) {
         state_.locked = false;
         return;
     }
-    // Recovery: keep the slice's lock and re-dial with capped,
-    // jittered exponential backoff; the destination rules are
-    // re-installed on success.
-    redialDestinations_ = stashed;
+    routesParked_ = true;
+    if (onConnectionLost) return onConnectionLost(reason);
     redialAttempt_ = 0;
     redialBackoff_.emplace(util::BackoffConfig{
-        .initialSeconds = sim::toSeconds(config_.autoRedial.initialBackoff),
-        .maxSeconds = sim::toSeconds(config_.autoRedial.maxBackoff),
-        .jitterFraction = config_.autoRedial.jitterFraction,
-        .seed = config_.autoRedial.jitterSeed,
-    });
+        .initialSeconds = 2.0, .maxSeconds = 60.0, .jitterFraction = 0.2,
+        .seed = config_.autoRedial.jitterSeed});
     scheduleRedial();
 }
 
@@ -282,36 +276,30 @@ void UmtsBackend::scheduleRedial() {
     if (redialTimer_.valid()) sim_.cancel(redialTimer_);
     const sim::SimTime delay = sim::seconds(redialBackoff_->nextSeconds());
     log_.info() << "auto-redial in " << sim::toSeconds(delay) << "s";
-    redialTimer_ = sim_.schedule(delay, [this] { attemptRedial(); });
-}
-
-void UmtsBackend::attemptRedial() {
-    redialTimer_ = {};
-    if (!state_.locked || state_.connected || busy_) return;
-    ++redialAttempt_;
-    obs::Registry::instance().counter("recovery.redial.attempts").inc();
-    log_.info() << "auto-redial attempt " << redialAttempt_ << "/"
-                << config_.autoRedial.maxAttempts;
-    busy_ = true;
-    startConnection([this](util::Result<ppp::IpcpResult> result) {
-        busy_ = false;
-        if (result.ok()) {
-            obs::Registry::instance().counter("recovery.redial.successes").inc();
-            log_.info() << "auto-redial succeeded: " << state_.address.str();
-            reinstallDestinations();
-            return;
-        }
-        state_.lastError = result.error().message;
-        if (redialAttempt_ >= config_.autoRedial.maxAttempts) {
-            // Terminal: surface the error and release the lock so the
-            // slice can decide what to do.
-            obs::Registry::instance().counter("recovery.redial.exhausted").inc();
-            log_.error() << "auto-redial exhausted after " << redialAttempt_
-                         << " attempts: " << state_.lastError;
-            state_.locked = false;
-            return;
-        }
-        scheduleRedial();
+    redialTimer_ = sim_.schedule(delay, [this] {
+        redialTimer_ = {};
+        if (!state_.locked || state_.connected || busy_) return;
+        ++redialAttempt_;
+        log_.info() << "auto-redial attempt " << redialAttempt_ << "/"
+                    << config_.autoRedial.maxAttempts;
+        redial([this](util::Result<void> result) {
+            if (result.ok()) {
+                log_.info() << "auto-redial succeeded: " << state_.address.str();
+                failbackRoutes();
+            } else if (redialAttempt_ >= config_.autoRedial.maxAttempts) {
+                // Terminal: surface the error, release the lock and
+                // forget the parked rules so the slice can decide what
+                // to do.
+                obs::Registry::instance().counter("recovery.redial.exhausted").inc();
+                log_.error() << "auto-redial exhausted after " << redialAttempt_
+                             << " attempts: " << state_.lastError;
+                state_.locked = false;
+                parkedDestinations_.clear();
+                routesParked_ = false;
+            } else {
+                scheduleRedial();
+            }
+        });
     });
 }
 
@@ -333,17 +321,15 @@ void UmtsBackend::redial(std::function<void(util::Result<void>)> done) {
             return;
         }
         obs::Registry::instance().counter("recovery.redial.successes").inc();
-        // Parked destination rules stay parked: the supervisor fails
-        // traffic back only after its stability window.
+        // Parked destination rules stay parked: the caller fails
+        // traffic back (the supervisor only after its stability window).
         if (done) done(util::Result<void>{});
     });
 }
 
 void UmtsBackend::failoverRoutes() {
     for (const std::string& destination : destinations_) {
-        (void)shell().exec(util::format("ip rule del prio %d fwmark 0x%x to %s lookup %d",
-                                        config_.destinationRulePriority, mark(),
-                                        destination.c_str(), config_.routingTable));
+        (void)destinationRule("del", destination);
         parkedDestinations_.insert(destination);
     }
     destinations_.clear();
@@ -357,10 +343,7 @@ void UmtsBackend::failbackRoutes() {
         return;
     }
     for (const std::string& destination : parkedDestinations_) {
-        const auto result = shell().exec(
-            util::format("ip rule add prio %d fwmark 0x%x to %s lookup %d",
-                         config_.destinationRulePriority, mark(), destination.c_str(),
-                         config_.routingTable));
+        const auto result = destinationRule("add", destination);
         if (result.ok())
             destinations_.insert(destination);
         else
@@ -372,25 +355,9 @@ void UmtsBackend::failbackRoutes() {
     log_.info() << "destination rules restored: traffic back on " << config_.pppInterface;
 }
 
-void UmtsBackend::reinstallDestinations() {
-    for (const std::string& destination : redialDestinations_) {
-        const auto result = shell().exec(
-            util::format("ip rule add prio %d fwmark 0x%x to %s lookup %d",
-                         config_.destinationRulePriority, mark(), destination.c_str(),
-                         config_.routingTable));
-        if (result.ok())
-            destinations_.insert(destination);
-        else
-            log_.error() << "failed to re-install destination " << destination << ": "
-                         << result.error().message;
-    }
-    redialDestinations_.clear();
-}
-
 void UmtsBackend::cancelRedial() {
     if (redialTimer_.valid()) sim_.cancel(redialTimer_);
     redialTimer_ = {};
-    redialDestinations_.clear();
 }
 
 void UmtsBackend::cmdStop(const pl::Slice& caller, pl::Vsys::Completion done) {
@@ -524,10 +491,7 @@ void UmtsBackend::cmdAddDestination(const pl::Slice& caller, const std::string& 
         reply(done, exit_code::ok, {"destination=" + canonical, "failover=wired"});
         return;
     }
-    const auto result = shell().exec(
-        util::format("ip rule add prio %d fwmark 0x%x to %s lookup %d",
-                     config_.destinationRulePriority, mark(), canonical.c_str(),
-                     config_.routingTable));
+    const auto result = destinationRule("add", canonical);
     if (!result.ok()) {
         reply(done, exit_code::error, {"error=" + result.error().message});
         return;
@@ -556,9 +520,7 @@ void UmtsBackend::cmdDelDestination(const pl::Slice& caller, const std::string& 
         reply(done, exit_code::noent, {"error=no such destination"});
         return;
     }
-    (void)shell().exec(util::format("ip rule del prio %d fwmark 0x%x to %s lookup %d",
-                                    config_.destinationRulePriority, mark(),
-                                    canonical.c_str(), config_.routingTable));
+    (void)destinationRule("del", canonical);
     destinations_.erase(canonical);
     reply(done, exit_code::ok, {"deleted=" + canonical});
 }

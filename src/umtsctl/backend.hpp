@@ -48,19 +48,17 @@ struct UmtsBackendConfig {
     /// protocol — is silently scoped to its own session and counted as
     /// guard.umtsctl.stats_denied. Empty = nobody gets "all".
     std::string statsAllSlice;
-    /// Automatic re-dial after an unexpected link loss: the backend
-    /// keeps the slice's lock, re-runs registration + dialing with
-    /// capped exponential backoff, and re-installs the slice's
-    /// destination rules. Off by default (historic behaviour: report
-    /// the error, release the lock, stay down).
+    /// Automatic re-dial after an unexpected link loss on a node
+    /// without a supervisor: the backend keeps the slice's lock, parks
+    /// its destination rules, calls redial() with capped exponential
+    /// backoff (2 s doubling to 60 s, ±20 % jitter) and fails the rules
+    /// back once a redial succeeds. Off by default (historic behaviour:
+    /// report the error, release the lock, stay down).
     struct AutoRedial {
         bool enable = false;
         int maxAttempts = 6;
-        sim::SimTime initialBackoff = sim::seconds(2.0);
-        sim::SimTime maxBackoff = sim::seconds(60.0);
-        /// ± jitter applied to every backoff step so N UEs recovering
-        /// from a shared-cell outage don't redial in lockstep.
-        double jitterFraction = 0.2;
+        /// Seeds the backoff jitter so N UEs recovering from a
+        /// shared-cell outage don't redial in lockstep.
         std::uint64_t jitterSeed = 0;
     };
     AutoRedial autoRedial;
@@ -74,8 +72,6 @@ struct UmtsState {
     net::Ipv4Address address;   ///< ppp0 address when connected
     std::string operatorName;
     int signalQuality = 0;
-    double uplinkKbps = 0.0;
-    std::vector<std::string> destinations;
     std::string lastError;
 };
 
@@ -108,11 +104,13 @@ class UmtsBackend {
     /// data plane down and releases the lock.
     void notifyCarrierLost();
 
-    // --- supervision driver surface (src/supervise) ---------------
-    // When onConnectionLost is set, an unexpected link loss keeps the
-    // slice's lock, parks the installed destination rules (traffic
-    // falls back to the wired default route) and defers recovery to
-    // the supervisor instead of the built-in auto-redial.
+    // --- recovery driver surface ----------------------------------
+    // When a recovery driver exists (onConnectionLost is set, or
+    // autoRedial.enable), an unexpected link loss keeps the slice's
+    // lock and parks the installed destination rules: traffic falls
+    // back to the wired default route. The driver then calls redial()
+    // until one succeeds, and failbackRoutes(). A supervisor
+    // (src/supervise) wins over the built-in auto-redial.
 
     /// Link died unexpectedly (data plane already torn down, routes
     /// parked). The supervisor owns recovery from here.
@@ -161,16 +159,18 @@ class UmtsBackend {
   private:
     void dispatch(const pl::Slice& caller, const std::vector<std::string>& args,
                   pl::Vsys::Completion done);
-    /// The registration + dial chain shared by cmdStart and the
-    /// auto-redial path; on success the data plane is up.
+    /// The registration + dial chain shared by cmdStart and redial();
+    /// on success the data plane is up.
     void startConnection(std::function<void(util::Result<ppp::IpcpResult>)> done);
     void setupDataPlane(const ppp::IpcpResult& addresses);
     void teardownDataPlane();
     void onLinkLost(const std::string& reason);
+    /// Arm the next auto-redial attempt after one backoff step.
     void scheduleRedial();
-    void attemptRedial();
-    void reinstallDestinations();
     void cancelRedial();
+    /// `ip rule <verb> prio P fwmark M to <destination> lookup T`: add
+    /// or del one of the slice's destination rules.
+    util::Result<std::string> destinationRule(const char* verb, const std::string& destination);
     [[nodiscard]] tools::RootShell& shell();
     [[nodiscard]] std::uint32_t mark() const noexcept { return ownerMark_; }
     static void reply(pl::Vsys::Completion& done, int code,
@@ -194,11 +194,10 @@ class UmtsBackend {
     sim::EventHandle redialTimer_;
     int redialAttempt_ = 0;
     std::optional<util::JitteredBackoff> redialBackoff_;
-    std::set<std::string> redialDestinations_;  ///< rules to re-install
 
-    // Supervised failover state: destination rules pulled off the UMTS
-    // path (either by a link loss or an explicit failoverRoutes()),
-    // waiting for failbackRoutes() to re-install them.
+    // Failover state: destination rules pulled off the UMTS path
+    // (either by a link loss or an explicit failoverRoutes()), waiting
+    // for failbackRoutes() to re-install them.
     std::set<std::string> parkedDestinations_;
     bool routesParked_ = false;
 };
