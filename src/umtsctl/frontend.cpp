@@ -56,101 +56,72 @@ util::Error UmtsFrontend::toError(const pl::VsysResult& result) {
     return util::Error{code, message};
 }
 
-void UmtsFrontend::call(std::vector<std::string> args,
-                        std::function<void(util::Result<UmtsReport>)> done) {
-    node_.vsys().invoke(slice_, "umts", args,
-                        [done = std::move(done)](util::Result<pl::VsysResult> result) {
+namespace {
+
+/// The `umts stats` reply as an aligned metric/type/value table.
+std::string renderStats(const std::vector<std::string>& lines) {
+    // Backend lines are `<metric>=<kind>:<value>`.
+    util::Table table({"metric", "type", "value"});
+    for (const std::string& line : lines) {
+        const auto eq = line.find('=');
+        if (eq == std::string::npos) continue;
+        const std::string name = line.substr(0, eq);
+        std::string rest = line.substr(eq + 1);
+        std::string kind;
+        const auto colon = rest.find(':');
+        if (colon != std::string::npos) {
+            kind = rest.substr(0, colon);
+            rest = rest.substr(colon + 1);
+        }
+        table.addRow({name, kind, rest});
+    }
+    return table.render();
+}
+
+/// Parse for the verbs whose reply carries nothing the caller needs.
+util::Result<void> ignoreReply(const std::vector<std::string>&) { return {}; }
+
+}  // namespace
+
+template <typename T, typename Parse>
+void UmtsFrontend::invoke(std::vector<std::string> args,
+                          std::function<void(util::Result<T>)> done, Parse parse) {
+    node_.vsys().invoke(slice_, "umts", std::move(args),
+                        [done = std::move(done), parse](util::Result<pl::VsysResult> result) {
                             if (!done) return;
-                            if (!result.ok()) {
-                                done(result.error());
-                                return;
-                            }
-                            if (!result.value().ok()) {
-                                done(toError(result.value()));
-                                return;
-                            }
-                            done(parseReport(result.value().output));
+                            if (!result.ok()) return done(result.error());
+                            if (!result.value().ok()) return done(toError(result.value()));
+                            done(parse(result.value().output));
                         });
 }
 
 void UmtsFrontend::start(std::function<void(util::Result<UmtsReport>)> done) {
-    call({"start"}, std::move(done));
+    invoke({"start"}, std::move(done), parseReport);
 }
 
 void UmtsFrontend::status(std::function<void(util::Result<UmtsReport>)> done) {
-    call({"status"}, std::move(done));
+    invoke({"status"}, std::move(done), parseReport);
 }
 
 void UmtsFrontend::stats(std::function<void(util::Result<std::string>)> done,
                          bool includeAll) {
     std::vector<std::string> args{"stats"};
     if (includeAll) args.push_back("all");
-    node_.vsys().invoke(
-        slice_, "umts", std::move(args),
-        [done = std::move(done)](util::Result<pl::VsysResult> result) {
-            if (!done) return;
-            if (!result.ok()) {
-                done(result.error());
-                return;
-            }
-            if (!result.value().ok()) {
-                done(toError(result.value()));
-                return;
-            }
-            // Backend lines are `<metric>=<kind>:<value>`.
-            util::Table table({"metric", "type", "value"});
-            for (const std::string& line : result.value().output) {
-                const auto eq = line.find('=');
-                if (eq == std::string::npos) continue;
-                const std::string name = line.substr(0, eq);
-                std::string rest = line.substr(eq + 1);
-                std::string kind;
-                const auto colon = rest.find(':');
-                if (colon != std::string::npos) {
-                    kind = rest.substr(0, colon);
-                    rest = rest.substr(colon + 1);
-                }
-                table.addRow({name, kind, rest});
-            }
-            done(table.render());
-        });
+    invoke(std::move(args), std::move(done), renderStats);
 }
 
 void UmtsFrontend::stop(std::function<void(util::Result<void>)> done) {
-    call({"stop"}, [done = std::move(done)](util::Result<UmtsReport> result) {
-        if (!done) return;
-        if (!result.ok()) {
-            done(result.error());
-            return;
-        }
-        done(util::Result<void>{});
-    });
+    invoke({"stop"}, std::move(done), ignoreReply);
 }
 
 void UmtsFrontend::addDestination(const std::string& destination,
                                   std::function<void(util::Result<void>)> done) {
-    call({"add", "destination", destination},
-         [done = std::move(done)](util::Result<UmtsReport> result) {
-             if (!done) return;
-             if (!result.ok()) {
-                 done(result.error());
-                 return;
-             }
-             done(util::Result<void>{});
-         });
+    invoke({"add", "destination", destination}, std::move(done), ignoreReply);
 }
 
 void UmtsFrontend::delDestination(const std::string& destination,
                                   std::function<void(util::Result<void>)> done) {
-    call({"del", "destination", destination},
-         [done = std::move(done)](util::Result<UmtsReport> result) {
-             if (!done) return;
-             if (!result.ok()) {
-                 done(result.error());
-                 return;
-             }
-             done(util::Result<void>{});
-         });
+    invoke({"del", "destination", destination}, std::move(done), ignoreReply);
 }
 
 }  // namespace onelab::umtsctl

@@ -54,8 +54,12 @@ class UmtsFrontend {
     [[nodiscard]] const pl::Slice& slice() const noexcept { return slice_; }
 
   private:
-    void call(std::vector<std::string> args,
-              std::function<void(util::Result<UmtsReport>)> done);
+    /// One round trip through the vsys pipe: `done` gets `parse` of the
+    /// backend's reply lines when it answered exit 0, otherwise the
+    /// mapped error. A null `done` drops the reply.
+    template <typename T, typename Parse>
+    void invoke(std::vector<std::string> args, std::function<void(util::Result<T>)> done,
+                Parse parse);
     static UmtsReport parseReport(const std::vector<std::string>& lines);
     static util::Error toError(const pl::VsysResult& result);
 
