@@ -14,7 +14,6 @@ void Internet::attach(Interface& iface, AccessLink params) {
     attachment->params = params;
     attachment->egress =
         std::make_unique<TxQueue>(sim_, params.rateBitsPerSecond, params.queueBytes);
-    attachment->epoch = 0;
     Attachment* raw = attachment.get();
     iface.setTxHandler([this, raw](Packet pkt) { forward(*raw, std::move(pkt)); });
     attachments_.push_back(std::move(attachment));
@@ -101,12 +100,11 @@ void Internet::forward(Attachment& from, Packet pkt) {
         lastArrival_[key] = arrival;
 
         Interface* destIface = to->iface;
-        const std::uint64_t epoch = to->epoch;
-        sim_.scheduleAt(arrival, [this, destIface, epoch, shared] {
+        sim_.scheduleAt(arrival, [this, destIface, shared] {
             // Destination may have detached meanwhile.
             const auto it = std::find_if(attachments_.begin(), attachments_.end(),
                                          [&](const auto& a) { return a->iface == destIface; });
-            if (it == attachments_.end() || (*it)->epoch != epoch) return;
+            if (it == attachments_.end()) return;
             ++delivered_;
             destIface->deliver(std::move(*shared));
         });

@@ -60,7 +60,6 @@ class Internet {
         Interface* iface;
         AccessLink params;
         std::unique_ptr<TxQueue> egress;
-        std::uint64_t epoch;  ///< bump on detach to void in-flight packets
     };
 
     void forward(Attachment& from, Packet pkt);
