@@ -30,12 +30,11 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <functional>
 #include <string>
 #include <vector>
 
+#include "micro_json.hpp"
 #include "modem/at_engine.hpp"
 #include "net/internet.hpp"
 #include "net/packet.hpp"
@@ -649,69 +648,27 @@ bool selfCheck() {
 // --json reporting
 // ---------------------------------------------------------------------------
 
-/// Console output as usual, plus a copy of every per-iteration run for
-/// the JSON summary.
-class CollectingReporter final : public benchmark::ConsoleReporter {
-  public:
-    void ReportRuns(const std::vector<Run>& runs) override {
-        for (const Run& run : runs)
-            if (run.run_type == Run::RT_Iteration && !run.error_occurred)
-                collected_.push_back(run);
-        ConsoleReporter::ReportRuns(runs);
-    }
-
-    [[nodiscard]] const std::vector<Run>& runs() const noexcept { return collected_; }
-
-  private:
-    std::vector<Run> collected_;
-};
-
-double counterValue(const benchmark::BenchmarkReporter::Run& run, const char* name) {
-    const auto it = run.counters.find(name);
-    return it == run.counters.end() ? 0.0 : double(it->second);
-}
-
-/// Throughput of the run whose full name starts with `prefix` (0 when
-/// absent, e.g. under a --benchmark_filter that skipped it).
-double throughputFor(const std::vector<benchmark::BenchmarkReporter::Run>& runs,
-                     const std::string& prefix, const char* counter) {
-    for (const auto& run : runs) {
-        const std::string name = run.benchmark_name();
-        if (name.rfind(prefix, 0) == 0) return counterValue(run, counter);
-    }
-    return 0.0;
-}
-
 double ratio(double fast, double reference) {
     return reference > 0.0 ? fast / reference : 0.0;
 }
 
-bool writeJson(const std::string& path,
-               const std::vector<benchmark::BenchmarkReporter::Run>& runs) {
+void writeSummary(std::ostream& out, const bench::MicroRuns& runs) {
+    using bench::throughputFor;
     // Headline: 1500-byte escape-light frames (the steady-state MTU
     // shape of the paper's CBR experiments), fast vs reference, for
     // encode, deframe, and the two stages combined; then the
     // escape-heavy encode and deframe, and the modem's TTY scan over
     // escape-free frame bytes.
-    const double encodeFast =
-        throughputFor(runs, "BM_HdlcEncode/1500/0", "items_per_second");
-    const double encodeRef =
-        throughputFor(runs, "BM_HdlcEncodeReference/1500/0", "items_per_second");
-    const double deframeFast =
-        throughputFor(runs, "BM_HdlcDeframe/1500/0", "items_per_second");
-    const double deframeRef =
-        throughputFor(runs, "BM_HdlcDeframeReference/1500/0", "items_per_second");
-    const double heavyEncodeFast =
-        throughputFor(runs, "BM_HdlcEncode/1500/3", "items_per_second");
-    const double heavyEncodeRef =
-        throughputFor(runs, "BM_HdlcEncodeReference/1500/3", "items_per_second");
-    const double heavyDeframeFast =
-        throughputFor(runs, "BM_HdlcDeframe/1500/3", "items_per_second");
-    const double heavyDeframeRef =
-        throughputFor(runs, "BM_HdlcDeframeReference/1500/3", "items_per_second");
-    const double scanFast = throughputFor(runs, "BM_AtDataModeScan/1500/0", "items_per_second");
-    const double scanRef =
-        throughputFor(runs, "BM_AtDataModeScanReference/1500/0", "items_per_second");
+    const double encodeFast = throughputFor(runs, "BM_HdlcEncode/1500/0");
+    const double encodeRef = throughputFor(runs, "BM_HdlcEncodeReference/1500/0");
+    const double deframeFast = throughputFor(runs, "BM_HdlcDeframe/1500/0");
+    const double deframeRef = throughputFor(runs, "BM_HdlcDeframeReference/1500/0");
+    const double heavyEncodeFast = throughputFor(runs, "BM_HdlcEncode/1500/3");
+    const double heavyEncodeRef = throughputFor(runs, "BM_HdlcEncodeReference/1500/3");
+    const double heavyDeframeFast = throughputFor(runs, "BM_HdlcDeframe/1500/3");
+    const double heavyDeframeRef = throughputFor(runs, "BM_HdlcDeframeReference/1500/3");
+    const double scanFast = throughputFor(runs, "BM_AtDataModeScan/1500/0");
+    const double scanRef = throughputFor(runs, "BM_AtDataModeScanReference/1500/0");
     // Frames/s of one encode+deframe stage pair (series composition:
     // rates combine like resistors in parallel).
     const double pairFast = (encodeFast > 0.0 && deframeFast > 0.0)
@@ -721,23 +678,7 @@ bool writeJson(const std::string& path,
                                ? 1.0 / (1.0 / encodeRef + 1.0 / deframeRef)
                                : 0.0;
 
-    std::ofstream out{path, std::ios::trunc};
-    if (!out) return false;
-    out << "{\"benchmark\":\"micro_datapath\",\"results\":[";
-    bool first = true;
-    for (const auto& run : runs) {
-        if (!first) out << ',';
-        first = false;
-        out << "{\"name\":\"" << run.benchmark_name() << "\""
-            << ",\"real_time_ns\":"
-            << onelab::util::format("%.1f", run.GetAdjustedRealTime())
-            << ",\"items_per_second\":"
-            << onelab::util::format("%.1f", counterValue(run, "items_per_second"))
-            << ",\"bytes_per_second\":"
-            << onelab::util::format("%.1f", counterValue(run, "bytes_per_second"))
-            << '}';
-    }
-    out << "],\"speedup\":{";
+    out << ",\"speedup\":{";
     out << "\"encode_1500_light_vs_reference\":"
         << onelab::util::format("%.2f", ratio(encodeFast, encodeRef));
     out << ",\"deframe_1500_light_vs_reference\":"
@@ -750,41 +691,13 @@ bool writeJson(const std::string& path,
         << onelab::util::format("%.2f", ratio(heavyDeframeFast, heavyDeframeRef));
     out << ",\"at_scan_1500_vs_reference\":"
         << onelab::util::format("%.2f", ratio(scanFast, scanRef));
-    out << "}}\n";
-    return bool(out);
+    out << '}';
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
     if (!selfCheck()) return 1;
-
-    // Peel off --json [path] before google-benchmark sees the args.
-    std::string jsonPath;
-    std::vector<char*> args;
-    for (int i = 0; i < argc; ++i) {
-        if (i > 0 && std::strcmp(argv[i], "--json") == 0) {
-            jsonPath = "BENCH_datapath.json";
-            if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0)
-                jsonPath = argv[++i];
-            continue;
-        }
-        args.push_back(argv[i]);
-    }
-    int filteredArgc = int(args.size());
-    benchmark::Initialize(&filteredArgc, args.data());
-    if (benchmark::ReportUnrecognizedArguments(filteredArgc, args.data())) return 1;
-
-    CollectingReporter reporter;
-    benchmark::RunSpecifiedBenchmarks(&reporter);
-    benchmark::Shutdown();
-
-    if (!jsonPath.empty()) {
-        if (!writeJson(jsonPath, reporter.runs())) {
-            std::fprintf(stderr, "failed to write %s\n", jsonPath.c_str());
-            return 1;
-        }
-        std::printf("JSON summary written to %s\n", jsonPath.c_str());
-    }
-    return 0;
+    return onelab::bench::runMicrobench(argc, argv, "micro_datapath", "BENCH_datapath.json",
+                                        writeSummary);
 }

@@ -12,15 +12,13 @@
 //            ratios) to `path`, default BENCH_simcore.json.
 #include <benchmark/benchmark.h>
 
-#include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <functional>
 #include <queue>
 #include <string>
 #include <unordered_set>
 #include <vector>
 
+#include "micro_json.hpp"
 #include "obs/profiler.hpp"
 #include "obs/registry.hpp"
 #include "sim/pipe.hpp"
@@ -347,78 +345,21 @@ BENCHMARK(BM_PipeGoodput)->Arg(1500);
 // --json reporting
 // ---------------------------------------------------------------------------
 
-/// Console output as usual, plus a copy of every per-iteration run for
-/// the JSON summary.
-class CollectingReporter final : public benchmark::ConsoleReporter {
-  public:
-    void ReportRuns(const std::vector<Run>& runs) override {
-        for (const Run& run : runs)
-            if (run.run_type == Run::RT_Iteration && !run.error_occurred)
-                collected_.push_back(run);
-        ConsoleReporter::ReportRuns(runs);
-    }
-
-    [[nodiscard]] const std::vector<Run>& runs() const noexcept { return collected_; }
-
-  private:
-    std::vector<Run> collected_;
-};
-
-double counterValue(const benchmark::BenchmarkReporter::Run& run, const char* name) {
-    const auto it = run.counters.find(name);
-    return it == run.counters.end() ? 0.0 : double(it->second);
-}
-
-/// Throughput of the run whose full name starts with `prefix` (0 when
-/// absent, e.g. under a --benchmark_filter that skipped it).
-double throughputFor(const std::vector<benchmark::BenchmarkReporter::Run>& runs,
-                     const std::string& prefix, const char* counter) {
-    for (const auto& run : runs) {
-        const std::string name = run.benchmark_name();
-        if (name.rfind(prefix, 0) == 0) return counterValue(run, counter);
-    }
-    return 0.0;
-}
-
-bool writeJson(const std::string& path,
-               const std::vector<benchmark::BenchmarkReporter::Run>& runs) {
+void writeSummary(std::ostream& out, const bench::MicroRuns& runs) {
+    using bench::throughputFor;
     // Headline: the frame-carrying schedule/fire pair — the shape the
     // datapath actually schedules (see BM_ScheduleFireFrame_*). The
     // bare pair (empty-payload events) is recorded separately.
-    const double fireNew =
-        throughputFor(runs, "BM_ScheduleFireFrame_EventCore/256", "items_per_second");
-    const double fireLegacy =
-        throughputFor(runs, "BM_ScheduleFireFrame_LegacyCore/256", "items_per_second");
-    const double bareNew =
-        throughputFor(runs, "BM_ScheduleFire_EventCore/1024", "items_per_second");
-    const double bareLegacy =
-        throughputFor(runs, "BM_ScheduleFire_LegacyCore/1024", "items_per_second");
-    const double cancelNew =
-        throughputFor(runs, "BM_ScheduleCancel_EventCore/1024", "items_per_second");
-    const double cancelLegacy =
-        throughputFor(runs, "BM_ScheduleCancel_LegacyCore/1024", "items_per_second");
-    const double barePlain =
-        throughputFor(runs, "BM_ScheduleFire_EventCore/65536", "items_per_second");
-    const double bareProfiled =
-        throughputFor(runs, "BM_ScheduleFire_EventCoreProfiled/65536", "items_per_second");
+    const double fireNew = throughputFor(runs, "BM_ScheduleFireFrame_EventCore/256");
+    const double fireLegacy = throughputFor(runs, "BM_ScheduleFireFrame_LegacyCore/256");
+    const double bareNew = throughputFor(runs, "BM_ScheduleFire_EventCore/1024");
+    const double bareLegacy = throughputFor(runs, "BM_ScheduleFire_LegacyCore/1024");
+    const double cancelNew = throughputFor(runs, "BM_ScheduleCancel_EventCore/1024");
+    const double cancelLegacy = throughputFor(runs, "BM_ScheduleCancel_LegacyCore/1024");
+    const double barePlain = throughputFor(runs, "BM_ScheduleFire_EventCore/65536");
+    const double bareProfiled = throughputFor(runs, "BM_ScheduleFire_EventCoreProfiled/65536");
 
-    std::ofstream out{path, std::ios::trunc};
-    if (!out) return false;
-    out << "{\"benchmark\":\"micro_simcore\",\"results\":[";
-    bool first = true;
-    for (const auto& run : runs) {
-        if (!first) out << ',';
-        first = false;
-        out << "{\"name\":\"" << run.benchmark_name() << "\""
-            << ",\"real_time_ns\":"
-            << onelab::util::format("%.1f", run.GetAdjustedRealTime())
-            << ",\"items_per_second\":"
-            << onelab::util::format("%.1f", counterValue(run, "items_per_second"))
-            << ",\"bytes_per_second\":"
-            << onelab::util::format("%.1f", counterValue(run, "bytes_per_second"))
-            << '}';
-    }
-    out << "],\"speedup\":{";
+    out << ",\"speedup\":{";
     out << "\"schedule_fire_vs_legacy\":"
         << onelab::util::format("%.2f", fireLegacy > 0.0 ? fireNew / fireLegacy : 0.0);
     out << ",\"schedule_fire_bare_vs_legacy\":"
@@ -434,39 +375,12 @@ bool writeJson(const std::string& path,
         << ",\"overhead_fraction\":"
         << onelab::util::format(
                "%.4f", barePlain > 0.0 ? 1.0 - bareProfiled / barePlain : 0.0);
-    out << "}}\n";
-    return bool(out);
+    out << '}';
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-    // Peel off --json [path] before google-benchmark sees the args.
-    std::string jsonPath;
-    std::vector<char*> args;
-    for (int i = 0; i < argc; ++i) {
-        if (i > 0 && std::strcmp(argv[i], "--json") == 0) {
-            jsonPath = "BENCH_simcore.json";
-            if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0)
-                jsonPath = argv[++i];
-            continue;
-        }
-        args.push_back(argv[i]);
-    }
-    int filteredArgc = int(args.size());
-    benchmark::Initialize(&filteredArgc, args.data());
-    if (benchmark::ReportUnrecognizedArguments(filteredArgc, args.data())) return 1;
-
-    CollectingReporter reporter;
-    benchmark::RunSpecifiedBenchmarks(&reporter);
-    benchmark::Shutdown();
-
-    if (!jsonPath.empty()) {
-        if (!writeJson(jsonPath, reporter.runs())) {
-            std::fprintf(stderr, "failed to write %s\n", jsonPath.c_str());
-            return 1;
-        }
-        std::printf("JSON summary written to %s\n", jsonPath.c_str());
-    }
-    return 0;
+    return onelab::bench::runMicrobench(argc, argv, "micro_simcore", "BENCH_simcore.json",
+                                        writeSummary);
 }
