@@ -96,7 +96,7 @@ class DeframerReference {
             ++bad;
             return;
         }
-        raw.resize(raw.size() - 2);
+        raw.erase(raw.end() - 2, raw.end());
         std::size_t offset = 0;
         if (raw.size() >= 2 && raw[0] == kAddress && raw[1] == kControl) offset = 2;
         if (raw.size() <= offset) {
