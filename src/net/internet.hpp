@@ -1,14 +1,19 @@
 #pragma once
 
+#include <deque>
 #include <map>
 #include <memory>
 #include <vector>
 
 #include "net/interface.hpp"
-#include "net/queue.hpp"
 #include "sim/simulator.hpp"
 #include "util/logging.hpp"
 #include "util/rand.hpp"
+
+namespace onelab::obs {
+class Counter;
+class Gauge;
+}  // namespace onelab::obs
 
 namespace onelab::net {
 
@@ -27,8 +32,13 @@ struct AccessLink {
 /// path (Napoli <-> INRIA across GEANT-class research networks) and
 /// carries the UMTS operator's traffic once it leaves the GGSN.
 ///
+/// Each attachment's egress is a drop-tail byte-limited queue that
+/// serialises one packet at a time at the access link rate; its
+/// aggregate state is the `net.queue.*` family, registered up front.
 /// Per-(src,dst) FIFO ordering is enforced: jitter never reorders
 /// packets of the same flow direction, matching wired reality.
+/// Scheduled serialisations and arrivals point into the Internet, so
+/// its simulator must not run on after it is destroyed.
 class Internet {
   public:
     Internet(sim::Simulator& simulator, util::RandomStream rng);
@@ -38,7 +48,8 @@ class Internet {
     /// (by address or announced prefix) are delivered there.
     void attach(Interface& iface, AccessLink params);
 
-    /// Detach (e.g. node shutdown); pending deliveries are dropped.
+    /// Detach (e.g. node shutdown); the egress backlog and pending
+    /// deliveries are dropped.
     void detach(Interface& iface);
 
     /// Announce that `prefix` is reachable via `iface` (the GGSN
@@ -59,10 +70,18 @@ class Internet {
     struct Attachment {
         Interface* iface;
         AccessLink params;
-        std::unique_ptr<TxQueue> egress;
+        std::deque<Packet> egress;     ///< head is on the wire
+        std::size_t egressBytes = 0;
+        sim::EventHandle serialising;  ///< the head's serialisation; unset when idle
     };
 
     void forward(Attachment& from, Packet pkt);
+    void serialiseHead(Attachment& from);
+    /// The head finished serialising: it leaves the queue, crosses
+    /// the cloud and the next packet goes on the wire.
+    void serialised(Attachment& from);
+    /// Loss, routing, transit and jitter, then the FIFO arrival.
+    void cross(Attachment& from, Packet pkt);
     Attachment* routeTo(Ipv4Address dst);
     [[nodiscard]] sim::SimTime transitBetween(const Interface* a, const Interface* b) const;
 
@@ -77,6 +96,9 @@ class Internet {
     std::uint64_t delivered_ = 0;
     std::uint64_t lost_ = 0;
     std::uint64_t unroutable_ = 0;
+    obs::Counter& queueDropped_;
+    obs::Counter& queueCompleted_;
+    obs::Gauge& queueDepth_;
 };
 
 }  // namespace onelab::net

@@ -96,10 +96,7 @@ void Registry::releaseName(const std::string& prefix) noexcept {
 namespace {
 /// Thread-local instance() override (see Registry::setCurrent).
 thread_local Registry* currentRegistry = nullptr;
-std::atomic<std::uint64_t> nextRegistryId{1};
 }  // namespace
-
-Registry::Registry() : id_(nextRegistryId.fetch_add(1, std::memory_order_relaxed)) {}
 
 Registry& Registry::instance() {
     if (currentRegistry) return *currentRegistry;

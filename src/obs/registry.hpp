@@ -165,14 +165,9 @@ class Registry {
     /// Prefer obs::RunContext over calling this directly.
     static Registry* setCurrent(Registry* registry) noexcept;
 
-    Registry();
+    Registry() = default;
     Registry(const Registry&) = delete;
     Registry& operator=(const Registry&) = delete;
-
-    /// Process-unique id (never reused), letting per-thread caches of
-    /// counter references detect that instance() changed identity even
-    /// when a new registry lands on a freed one's address.
-    [[nodiscard]] std::uint64_t id() const noexcept { return id_; }
 
     [[nodiscard]] Counter& counter(const std::string& name);
     [[nodiscard]] Gauge& gauge(const std::string& name);
@@ -205,7 +200,6 @@ class Registry {
     void claimName(const std::string& prefix);
     void releaseName(const std::string& prefix) noexcept;
 
-    const std::uint64_t id_;
     mutable std::mutex mutex_;
     std::map<std::string, Entry> metrics_;
     std::set<std::string> leasedPrefixes_;

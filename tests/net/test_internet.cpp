@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "net/stack.hpp"
+#include "obs/registry.hpp"
+#include "obs/run_context.hpp"
 
 namespace onelab::net {
 namespace {
@@ -143,6 +145,81 @@ TEST_F(InternetTest, EgressQueueLimitsDropTail) {
     EXPECT_LT(got, 10);
 }
 
+TEST_F(InternetTest, EgressSerializesBackToBackAtLinkRate) {
+    AccessLink slow;
+    slow.rateBitsPerSecond = 8000.0;  // 1 kB/s: a 128 B datagram takes 128 ms
+    NetworkStack& a = makeHost("a", Ipv4Address{10, 0, 0, 1}, slow);
+    NetworkStack& b = makeHost("b", Ipv4Address{10, 0, 0, 2});
+    auto rx = b.openUdp(0, 9000);
+    std::vector<sim::SimTime> arrivals;
+    rx.value()->onReceive([&](Datagram d) { arrivals.push_back(d.rxTime); });
+    auto tx = a.openUdp(0);
+    for (int i = 0; i < 3; ++i)
+        (void)tx.value()->sendTo(Ipv4Address{10, 0, 0, 2}, 9000, util::Bytes(100, 0));
+    sim.run();
+    // One after another on the wire, then both 200 us access links
+    // and the default 5 ms transit.
+    ASSERT_EQ(arrivals.size(), 3u);
+    for (int k = 1; k <= 3; ++k)
+        EXPECT_EQ(arrivals[k - 1], sim::millis(128) * k + sim::micros(400) + sim::millis(5));
+}
+
+TEST_F(InternetTest, EgressDropTailCountsAndAcceptsOnceDrained) {
+    AccessLink onePacket;
+    onePacket.rateBitsPerSecond = 8000.0;
+    onePacket.queueBytes = 128;  // exactly one 100 B datagram
+    NetworkStack& a = makeHost("a", Ipv4Address{10, 0, 0, 1}, onePacket);
+    NetworkStack& b = makeHost("b", Ipv4Address{10, 0, 0, 2});
+    auto rx = b.openUdp(0, 9000);
+    int got = 0;
+    rx.value()->onReceive([&](Datagram) { ++got; });
+    auto tx = a.openUdp(0);
+    const auto send = [&] {
+        (void)tx.value()->sendTo(Ipv4Address{10, 0, 0, 2}, 9000, util::Bytes(100, 0));
+    };
+    obs::Counter& dropped = obs::Registry::instance().counter("net.queue.dropped");
+    const std::uint64_t droppedBefore = dropped.value();
+    send();
+    send();  // the first still occupies the whole buffer
+    EXPECT_EQ(dropped.value(), droppedBefore + 1);
+    sim.run();
+    EXPECT_EQ(got, 1);
+    send();
+    sim.run();
+    EXPECT_EQ(got, 2);
+    EXPECT_EQ(dropped.value(), droppedBefore + 1);
+}
+
+TEST_F(InternetTest, DetachDropsQueuedEgressAndReattachDelivers) {
+    AccessLink slow;
+    slow.rateBitsPerSecond = 8000.0;
+    NetworkStack& a = makeHost("a", Ipv4Address{10, 0, 0, 1}, slow);
+    NetworkStack& b = makeHost("b", Ipv4Address{10, 0, 0, 2});
+    auto rx = b.openUdp(0, 9000);
+    int got = 0;
+    rx.value()->onReceive([&](Datagram) { ++got; });
+    auto tx = a.openUdp(0);
+    const auto send = [&] {
+        (void)tx.value()->sendTo(Ipv4Address{10, 0, 0, 2}, 9000, util::Bytes(100, 0));
+    };
+    obs::Gauge& depth = obs::Registry::instance().gauge("net.queue.depth");
+    const std::int64_t depthBefore = depth.value();
+    send();
+    send();
+    EXPECT_EQ(depth.value(), depthBefore + 2 * 128);
+    Interface& eth = *a.findInterface("eth0");
+    internet.detach(eth);
+    EXPECT_EQ(depth.value(), depthBefore);
+    sim.run();
+    EXPECT_EQ(got, 0);
+
+    internet.attach(eth, slow);
+    send();
+    sim.run();
+    EXPECT_EQ(got, 1);
+    EXPECT_EQ(depth.value(), depthBefore);
+}
+
 TEST_F(InternetTest, DetachStopsDelivery) {
     NetworkStack& a = makeHost("a", Ipv4Address{10, 0, 0, 1});
     NetworkStack& b = makeHost("b", Ipv4Address{10, 0, 0, 2});
@@ -154,6 +231,17 @@ TEST_F(InternetTest, DetachStopsDelivery) {
     internet.detach(*b.findInterface("eth0"));  // before delivery fires
     sim.run();
     EXPECT_EQ(got, 0);
+}
+
+TEST(InternetMetrics, QueueFamilyRegisteredBeforeAnyPacket) {
+    obs::RunContext context;  // a fresh registry
+    sim::Simulator simulator;
+    Internet internet{simulator, util::RandomStream{1}};
+    std::vector<std::string> names;
+    for (const obs::MetricSample& sample : obs::Registry::instance().snapshot())
+        if (sample.name.rfind("net.queue.", 0) == 0) names.push_back(sample.name);
+    EXPECT_EQ(names, (std::vector<std::string>{"net.queue.completed", "net.queue.depth",
+                                               "net.queue.dropped"}));
 }
 
 }  // namespace

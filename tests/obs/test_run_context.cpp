@@ -24,7 +24,7 @@ TEST(RunContext, InstallsOwnInstancesAndRestores) {
     const std::uint64_t before = outer.counter("runctx.test.marker").value();
     {
         RunContext context;
-        EXPECT_NE(Registry::instance().id(), outer.id());
+        EXPECT_NE(&Registry::instance(), &outer);
         EXPECT_EQ(&Registry::instance(), &context.registry());
         EXPECT_EQ(&Tracer::instance(), &context.tracer());
         EXPECT_EQ(&util::LogConfig::instance(), &context.logConfig());
