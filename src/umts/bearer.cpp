@@ -102,14 +102,11 @@ void BearerLink::serveNext() {
         serving_ = false;
         return;
     }
-    const std::uint64_t epoch = epoch_;
     const std::weak_ptr<bool> alive = alive_;
     if (sim_.now() < holdUntil_) {
         // RRC promotion in progress: resume when the DCH is up.
-        sim_.scheduleAt(holdUntil_, [this, epoch, alive] {
-            const auto stillAlive = alive.lock();
-            if (!stillAlive || !*stillAlive || epoch != epoch_) return;
-            serveNext();
+        sim_.scheduleAt(holdUntil_, [this, alive] {
+            if (!alive.expired()) serveNext();
         });
         return;
     }
@@ -119,9 +116,8 @@ void BearerLink::serveNext() {
     const double rate = isDegraded() ? params_.rateBps * params_.degradedRateFactor
                                      : params_.rateBps;
     const sim::SimTime serialization = sim::transmissionTime(bytes, rate);
-    sim_.schedule(serialization, [this, epoch, alive] {
-        const auto stillAlive = alive.lock();
-        if (!stillAlive || !*stillAlive || epoch != epoch_) return;
+    sim_.schedule(serialization, [this, alive] {
+        if (alive.expired()) return;
         util::SharedBytes chunk = std::move(queue_.front());
         queue_.pop_front();
         backlogBytes_ -= chunk.size();
@@ -149,10 +145,8 @@ void BearerLink::serveNext() {
             lastArrival_ = arrival;
             // The chunk moves straight into the event's inline storage;
             // no shared_ptr box (InplaceAction takes move-only closures).
-            sim_.scheduleAt(arrival, [this, epoch, alive,
-                                      chunk = std::move(chunk)]() mutable {
-                const auto stillAlive = alive.lock();
-                if (!stillAlive || !*stillAlive || epoch != epoch_) return;
+            sim_.scheduleAt(arrival, [this, alive, chunk = std::move(chunk)]() mutable {
+                if (alive.expired()) return;
                 ++stats_.chunksDelivered;
                 stats_.bytesDelivered += chunk.size();
                 metrics_.chunksDelivered.inc();
@@ -169,7 +163,7 @@ void BearerLink::clear() {
     queue_.clear();
     backlogBytes_ = 0;
     serving_ = false;
-    ++epoch_;
+    alive_ = std::make_shared<bool>(true);  // strands every scheduled event
 }
 
 RadioBearer::RadioBearer(sim::Simulator& simulator, const OperatorProfile& profile,

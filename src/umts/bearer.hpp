@@ -45,7 +45,6 @@ class BearerLink {
 
     BearerLink(sim::Simulator& simulator, Params params, util::RandomStream rng,
                std::string logTag);
-    ~BearerLink() { *alive_ = false; }
 
     BearerLink(const BearerLink&) = delete;
     BearerLink& operator=(const BearerLink&) = delete;
@@ -90,8 +89,9 @@ class BearerLink {
     void serveNext();
 
     sim::Simulator& sim_;
-    /// Guards scheduled service/delivery events against destruction
-    /// (a PDP context can be torn down with chunks in flight).
+    /// Scheduled service, hold and delivery events hold a weak
+    /// reference; it expires when the link is destroyed (a PDP context
+    /// can be torn down with chunks in flight) or cleared.
     std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
     Params params_;
     util::RandomStream rng_;
@@ -106,7 +106,6 @@ class BearerLink {
     double lossBoostProbability_ = 0.0;
     sim::SimTime lastArrival_{0};
     sim::SimTime lastBusy_{0};
-    std::uint64_t epoch_ = 0;
     BearerStats stats_;
 
     // Registry-backed mirrors of BearerStats, named "umts.<tag>.*"
