@@ -127,16 +127,18 @@ void UmtsModem::startRegistration() {
         // capped exponential backoff so a refusing/absent SGSN is not
         // hammered at a fixed cadence. Access class barring is the
         // cell shedding a transient attach backlog, so a barred card
-        // retries at the initial interval instead of backing off past
-        // the moment the barring lifts.
+        // rescans at the 1 s detach cadence instead: a storm keeps the
+        // backlog at the barring limit apart from short gaps, and a
+        // slower retry can miss every gap for longer than comgt waits.
         registration_ = RegistrationState::not_registered;
         const bool barred = result.error().code == util::Error::Code::busy;
         registrationBackoff_ = barred || registrationBackoff_.count() == 0
                                    ? kRegistrationRetryInitial
                                    : std::min(registrationBackoff_ * 2, kRegistrationRetryMax);
         obs::Registry::instance().counter("recovery.modem.registration_retries").inc();
+        const sim::SimTime retry = barred ? kDetachRescanDelay : registrationBackoff_;
         if (registrationRetry_.valid()) sim_.cancel(registrationRetry_);
-        registrationRetry_ = sim_.schedule(registrationBackoff_, [this] {
+        registrationRetry_ = sim_.schedule(retry, [this] {
             registrationRetry_ = {};
             if (registration_ != RegistrationState::registered_home) startRegistration();
         });

@@ -125,7 +125,8 @@ class UmtsModem {
 
     // Re-registration backoff: 5 s after the first failure, doubling
     // to a cap — a commercial card never hammers a refusing SGSN. A
-    // barred attach (access class barring) always retries after 5 s.
+    // barred attach (access class barring) holds the ladder at its
+    // first step and retries after the 1 s rescan delay.
     static constexpr sim::SimTime kRegistrationRetryInitial = sim::seconds(5.0);
     static constexpr sim::SimTime kRegistrationRetryMax = sim::seconds(80.0);
     static constexpr sim::SimTime kBootDelay = sim::seconds(2.0);

@@ -241,10 +241,10 @@ TEST(ModemRegistration, BarredCardRegistersSoonAfterBarringLifts) {
     ASSERT_GT(barringLifted, stormEnd);
     EXPECT_NE(modem.registration(), RegistrationState::registered_home);
 
-    // Barred attempts retry at the initial 5 s interval, so the card
-    // is back within one retry plus one registration. A doubling
-    // ladder would have slept through the lift.
-    sim.runUntil(barringLifted + sim::seconds(5.0) + profile.registrationDelay);
+    // Barred attempts retry at the 1 s rescan cadence, so the card is
+    // back within one retry plus one registration. A 5 s retry, or a
+    // doubling ladder, would have slept through the lift.
+    sim.runUntil(barringLifted + sim::seconds(1.0) + profile.registrationDelay);
     EXPECT_EQ(modem.registration(), RegistrationState::registered_home);
 }
 
