@@ -7,9 +7,9 @@
 // Seeds are independent sweep points; aggregation order is fixed, so
 // the report is byte-identical at any job count.
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "fault/injector.hpp"
 #include "fault/plan.hpp"
@@ -169,13 +169,23 @@ bool faultedTelemetryIdentical(bench::SweepRunner& runner) {
     return !metricsA.empty() && metricsA == metricsB && traceA == traceB && faulted;
 }
 
+void usage(const char* argv0) {
+    std::printf("usage: %s [--jobs N]   (0 = all hardware threads)\n", argv0);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
     std::size_t jobs = 1;
-    for (int i = 1; i < argc; ++i)
-        if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc)
+    for (int i = 1; i < argc; ++i) {
+        const std::string arg = argv[i];
+        if (arg == "--jobs" && i + 1 < argc) {
             jobs = bench::SweepRunner::parseJobsValue(argv[++i]);
+        } else {
+            usage(argv[0]);
+            return arg == "--help" ? 0 : 2;
+        }
+    }
     bench::SweepRunner runner{jobs};
 
     constexpr int kRuns = 20;
