@@ -145,78 +145,105 @@ TEST_F(InternetTest, EgressQueueLimitsDropTail) {
     EXPECT_LT(got, 10);
 }
 
-TEST_F(InternetTest, EgressSerializesBackToBackAtLinkRate) {
-    AccessLink slow;
-    slow.rateBitsPerSecond = 8000.0;  // 1 kB/s: a 128 B datagram takes 128 ms
-    NetworkStack& a = makeHost("a", Ipv4Address{10, 0, 0, 1}, slow);
-    NetworkStack& b = makeHost("b", Ipv4Address{10, 0, 0, 2});
-    auto rx = b.openUdp(0, 9000);
+// The per-attachment egress (transmit) queue: a drop-tail FIFO of
+// packets serialised one at a time at the access link's rate. A 100 B
+// UDP payload is a 128 B packet, 128 ms on the wire at 8 kbps.
+struct TxQueue : InternetTest {
+    NetworkStack& sender(AccessLink link) {
+        link.rateBitsPerSecond = 8000.0;  // 1 kB/s
+        NetworkStack& a = makeHost("a", Ipv4Address{10, 0, 0, 1}, link);
+        NetworkStack& b = makeHost("b", Ipv4Address{10, 0, 0, 2});
+        rx = b.openUdp(0, 9000).value();
+        rx->onReceive([this](Datagram d) { arrivals.push_back(d.rxTime); });
+        tx = a.openUdp(0).value();
+        return a;
+    }
+    void send(std::size_t payloadBytes = 100) {
+        (void)tx->sendTo(Ipv4Address{10, 0, 0, 2}, 9000, util::Bytes(payloadBytes, 0));
+    }
+    /// Both 200 us access links plus the default 5 ms transit.
+    static sim::SimTime pathDelay() { return sim::micros(400) + sim::millis(5); }
+
+    UdpSocket* rx = nullptr;
+    UdpSocket* tx = nullptr;
     std::vector<sim::SimTime> arrivals;
-    rx.value()->onReceive([&](Datagram d) { arrivals.push_back(d.rxTime); });
-    auto tx = a.openUdp(0);
-    for (int i = 0; i < 3; ++i)
-        (void)tx.value()->sendTo(Ipv4Address{10, 0, 0, 2}, 9000, util::Bytes(100, 0));
+    obs::Counter& dropped = obs::Registry::instance().counter("net.queue.dropped");
+    obs::Counter& completed = obs::Registry::instance().counter("net.queue.completed");
+    obs::Gauge& depth = obs::Registry::instance().gauge("net.queue.depth");
+    const std::uint64_t droppedBefore = dropped.value();
+    const std::uint64_t completedBefore = completed.value();
+    const std::int64_t depthBefore = depth.value();
+};
+
+TEST_F(TxQueue, SerializesAtConfiguredRate) {
+    sender(AccessLink{});
+    send(472);  // a 500 B packet
     sim.run();
-    // One after another on the wire, then both 200 us access links
-    // and the default 5 ms transit.
+    ASSERT_EQ(arrivals.size(), 1u);
+    EXPECT_EQ(arrivals[0], sim::millis(500) + pathDelay());
+}
+
+TEST_F(TxQueue, BackToBackItemsQueueSequentially) {
+    sender(AccessLink{});
+    for (int i = 0; i < 3; ++i) send();
+    EXPECT_EQ(depth.value(), depthBefore + 3 * 128);
+    sim.run();
+    // One after another on the wire.
     ASSERT_EQ(arrivals.size(), 3u);
     for (int k = 1; k <= 3; ++k)
-        EXPECT_EQ(arrivals[k - 1], sim::millis(128) * k + sim::micros(400) + sim::millis(5));
+        EXPECT_EQ(arrivals[k - 1], sim::millis(128) * k + pathDelay());
+    EXPECT_EQ(completed.value(), completedBefore + 3);
 }
 
-TEST_F(InternetTest, EgressDropTailCountsAndAcceptsOnceDrained) {
-    AccessLink onePacket;
-    onePacket.rateBitsPerSecond = 8000.0;
-    onePacket.queueBytes = 128;  // exactly one 100 B datagram
-    NetworkStack& a = makeHost("a", Ipv4Address{10, 0, 0, 1}, onePacket);
-    NetworkStack& b = makeHost("b", Ipv4Address{10, 0, 0, 2});
-    auto rx = b.openUdp(0, 9000);
-    int got = 0;
-    rx.value()->onReceive([&](Datagram) { ++got; });
-    auto tx = a.openUdp(0);
-    const auto send = [&] {
-        (void)tx.value()->sendTo(Ipv4Address{10, 0, 0, 2}, 9000, util::Bytes(100, 0));
-    };
-    obs::Counter& dropped = obs::Registry::instance().counter("net.queue.dropped");
-    const std::uint64_t droppedBefore = dropped.value();
+TEST_F(TxQueue, DropTailOnByteLimit) {
+    AccessLink twoPackets;
+    twoPackets.queueBytes = 2 * 128;
+    sender(twoPackets);
     send();
-    send();  // the first still occupies the whole buffer
+    send();
+    send();  // would exceed the limit
     EXPECT_EQ(dropped.value(), droppedBefore + 1);
-    sim.run();
-    EXPECT_EQ(got, 1);
-    send();
-    sim.run();
-    EXPECT_EQ(got, 2);
-    EXPECT_EQ(dropped.value(), droppedBefore + 1);
-}
-
-TEST_F(InternetTest, DetachDropsQueuedEgressAndReattachDelivers) {
-    AccessLink slow;
-    slow.rateBitsPerSecond = 8000.0;
-    NetworkStack& a = makeHost("a", Ipv4Address{10, 0, 0, 1}, slow);
-    NetworkStack& b = makeHost("b", Ipv4Address{10, 0, 0, 2});
-    auto rx = b.openUdp(0, 9000);
-    int got = 0;
-    rx.value()->onReceive([&](Datagram) { ++got; });
-    auto tx = a.openUdp(0);
-    const auto send = [&] {
-        (void)tx.value()->sendTo(Ipv4Address{10, 0, 0, 2}, 9000, util::Bytes(100, 0));
-    };
-    obs::Gauge& depth = obs::Registry::instance().gauge("net.queue.depth");
-    const std::int64_t depthBefore = depth.value();
-    send();
-    send();
     EXPECT_EQ(depth.value(), depthBefore + 2 * 128);
-    Interface& eth = *a.findInterface("eth0");
-    internet.detach(eth);
+    sim.run();
+    EXPECT_EQ(arrivals.size(), 2u);
+}
+
+TEST_F(TxQueue, BacklogDrainsAsItemsComplete) {
+    AccessLink onePacket;
+    onePacket.queueBytes = 128;
+    sender(onePacket);
+    send();
+    sim.run();
+    EXPECT_EQ(depth.value(), depthBefore);
+    send();  // accepted again once drained
+    sim.run();
+    EXPECT_EQ(arrivals.size(), 2u);
+    EXPECT_EQ(dropped.value(), droppedBefore);
+}
+
+TEST_F(TxQueue, ClearDropsPendingWithoutRunningActions) {
+    NetworkStack& a = sender(AccessLink{});
+    send();
+    send();
+    internet.detach(*a.findInterface("eth0"));
     EXPECT_EQ(depth.value(), depthBefore);
     sim.run();
-    EXPECT_EQ(got, 0);
+    EXPECT_TRUE(arrivals.empty());
+    EXPECT_EQ(completed.value(), completedBefore);
+}
 
+TEST_F(TxQueue, UsableAfterClear) {
+    NetworkStack& a = sender(AccessLink{});
+    send();
+    Interface& eth = *a.findInterface("eth0");
+    internet.detach(eth);
+    AccessLink slow;
+    slow.rateBitsPerSecond = 8000.0;
     internet.attach(eth, slow);
     send();
     sim.run();
-    EXPECT_EQ(got, 1);
+    ASSERT_EQ(arrivals.size(), 1u);
+    EXPECT_EQ(arrivals[0], sim::millis(128) + pathDelay());
     EXPECT_EQ(depth.value(), depthBefore);
 }
 
